@@ -23,6 +23,7 @@ from . import config
 from .f2lin import Subspace, random_subspace
 from .money import Banknote, MiniScheme
 from .qsim import (
+    CountedOracle,
     Projector,
     ReflectAboutState,
     StateVector,
@@ -32,6 +33,7 @@ from .qsim import (
     oracle_for_dual_pair,
     subspace_state,
 )
+from .search import SearchParams, SearchProblem, hybrid_search, measure_restore
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +318,20 @@ def _orthogonal_partner(target: StateVector) -> StateVector:
     return StateVector(target.n_qubits, w / np.linalg.norm(w))
 
 
-class Counterfeiter:
-    """Unitary circuit on the doubled register with a query counter."""
+class Counterfeiter(CountedOracle):
+    """Unitary circuit `_u` on the doubled register; every call, forward or
+    inverse, charges one query."""
 
     name = "counterfeiter"
-
-    def __init__(self):
-        self.query_count = 0
-
-    def charge(self, k: int = 1) -> None:
-        self.query_count += k
+    _u: TwoPointUnitary
 
     def apply(self, s: StateVector) -> StateVector:
-        raise NotImplementedError
+        self.charge()
+        return self._u.apply(s)
 
     def apply_inverse(self, s: StateVector) -> StateVector:
-        raise NotImplementedError
+        self.charge()
+        return self._u.apply_inverse(s)
 
 
 class PlantedCloner(Counterfeiter):
@@ -352,14 +352,6 @@ class PlantedCloner(Counterfeiter):
         dst = target.tensor(StateVector(n, second / np.linalg.norm(second)))
         self._u = TwoPointUnitary(src, dst)
 
-    def apply(self, s: StateVector) -> StateVector:
-        self.charge()
-        return self._u.apply(s)
-
-    def apply_inverse(self, s: StateVector) -> StateVector:
-        self.charge()
-        return self._u.apply_inverse(s)
-
 
 class JunkEmitter(Counterfeiter):
     """Outputs a fixed state orthogonal to the doubled target."""
@@ -372,14 +364,6 @@ class JunkEmitter(Counterfeiter):
         src = target.tensor(StateVector.basis(target.n_qubits, 0))
         dst = junk.tensor(junk)
         self._u = TwoPointUnitary(src, dst)
-
-    def apply(self, s: StateVector) -> StateVector:
-        self.charge()
-        return self._u.apply(s)
-
-    def apply_inverse(self, s: StateVector) -> StateVector:
-        self.charge()
-        return self._u.apply_inverse(s)
 
 
 @dataclass
@@ -427,21 +411,10 @@ def amplify_counterfeiter(
     if delta >= 2 * eps_fid:
         return _amplify_hybrid(c, init, goal_state, eps_fid, delta, rng)
     rounds_budget = max(1, math.ceil(math.log(1 / delta) / (config.FIXED_POINT_RATE * eps_fid ** 2)))
-    restore = Projector.onto_state(init)
-    ver_queries = 0
-    s = init
-    converged = False
-    rounds = 0
-    for _ in range(rounds_budget):
-        rounds += 1
-        ok, s, _ = measure_projector(goal, s, rng)
-        ver_queries += 2
-        if ok:
-            converged = True
-            break
-        _, s, _ = measure_projector(restore, s, rng)
-        c.charge(2)  # one forward and one inverse call
-        ver_queries += 1
+    s, rounds, converged = measure_restore(goal, Projector.onto_state(init), init, rounds_budget, rng)
+    restores = rounds - converged
+    c.charge(2 * restores)  # one forward and one inverse call per restore
+    ver_queries = 2 * rounds + restores
     return AmplifyResult(state=s, queries=ver_queries + c.query_count, rounds=rounds, converged=converged)
 
 
@@ -459,8 +432,6 @@ def _amplify_hybrid(
     verifier query each (reflecting about C's output); goal calls are double
     verifications.
     """
-    from .search import SearchParams, SearchProblem, hybrid_search
-
     problem = SearchProblem.with_state_goal(init, goal_state)
     params = SearchParams(eps=eps_fid, delta=delta)
     trace: dict = {}
@@ -488,20 +459,12 @@ def amplify_counterfeiter_state(
 ) -> Tuple[StateVector, int]:
     """State-level fixed-point amplification toward target x target."""
     goal = Projector.onto_state(target.tensor(target))
-    restore = Projector.onto_state(doubled)
     eps_fid = math.sqrt(max(eps, 1e-6))
     budget = min(
         max_rounds,
         max(1, math.ceil(math.log(1 / delta) / (config.FIXED_POINT_RATE * eps_fid ** 2))),
     )
-    s = doubled
-    rounds = 0
-    for _ in range(budget):
-        rounds += 1
-        ok, s, _ = measure_projector(goal, s, rng)
-        if ok:
-            break
-        _, s, _ = measure_projector(restore, s, rng)
+    s, rounds, _ = measure_restore(goal, Projector.onto_state(doubled), doubled, budget, rng)
     return s, rounds
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from dataclasses import asdict
 
-from . import f2lin, polyhide, privkey
+from . import f2lin, hsmini, polyhide, privkey
 from .experiments import CATALOG, ExperimentConfig, run_experiment
 from .qsim import StateVector
 
@@ -121,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
         kp.add_argument("--n", type=int, default=10)
         kp.add_argument("--seed", type=int, default=0)
         kp.add_argument("--trials", type=int, default=100)
-        kp.add_argument("--out", default=None)
 
     bundle = sub.add_parser("bundle", help="oracle bundle snapshots")
     bsub = bundle.add_subparsers(dest="subcommand", required=True)
@@ -248,14 +247,7 @@ def _cmd_wiesner(args) -> int:
         accepts = sum(bank.verify(note.serial, note.qubits, rng)[0] for _ in range(args.trials))
         print(f"accepted {accepts}/{args.trials}")
         return EXIT_OK if accepts == args.trials else EXIT_ASSERTION
-    if args.subcommand == "attack-adaptive":
-        cfg = ExperimentConfig(experiment="attack-adaptive", n=args.n,
-                               trials=args.trials, seed=args.seed, out=args.out)
-        outcome = run_experiment(cfg)
-        _emit_report(cfg, outcome, args.out)
-        _print_summary(outcome.summary, outcome.ok)
-        return EXIT_OK if outcome.ok else EXIT_ASSERTION
-    cfg = ExperimentConfig(experiment="attack-clone", n=args.n,
+    cfg = ExperimentConfig(experiment=args.subcommand, n=args.n,
                            trials=args.trials, seed=args.seed, out=args.out)
     outcome = run_experiment(cfg)
     _emit_report(cfg, outcome, args.out)
@@ -279,8 +271,6 @@ def _cmd_keyed(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
-    from . import hsmini
-
     if args.subcommand == "export":
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         bundle = hsmini.make_bundle(args.n, rng)

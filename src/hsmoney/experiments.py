@@ -58,7 +58,6 @@ class ExperimentSpec:
     claim: str
     defaults: Dict
     runner: Callable[[ExperimentConfig], ExperimentOutcome]
-    parallel_trial: Optional[str] = None  # module-level trial fn name
 
 
 def _map_trials(cfg: ExperimentConfig, fn_name: str, trials: int) -> List[dict]:

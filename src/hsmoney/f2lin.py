@@ -166,14 +166,6 @@ class Subspace:
         return sub
 
 
-def dual(a: Subspace) -> Subspace:
-    return a.dual()
-
-
-def contains(a: Subspace, x: int) -> bool:
-    return a.contains(x)
-
-
 def random_subspace(n: int, dim: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random dim-dimensional subspace of F_2^n.
 
@@ -198,12 +190,6 @@ def intersection_dim(a: Subspace, b: Subspace) -> int:
     if a.n != b.n:
         raise ValueError(f"ambient dims differ: {a.n} vs {b.n}")
     return a.dim + b.dim - rank(a.basis + b.basis, a.n)
-
-
-def sum_subspace(a: Subspace, b: Subspace) -> Subspace:
-    if a.n != b.n:
-        raise ValueError(f"ambient dims differ: {a.n} vs {b.n}")
-    return Subspace.from_rows(a.basis + b.basis, a.n)
 
 
 @dataclass(frozen=True)
@@ -312,10 +298,6 @@ def random_invertible(n: int, rng: np.random.Generator) -> LinMap:
             return LinMap(n, rows)
 
 
-def apply_map(f: LinMap, x: int) -> int:
-    return f.apply(x)
-
-
 def image(f: LinMap, a: Subspace) -> Subspace:
     """{f(x) : x in A}; requires f invertible so dimensions are preserved."""
     if f.n != a.n:
@@ -323,10 +305,6 @@ def image(f: LinMap, a: Subspace) -> Subspace:
     if not f.is_invertible():
         raise ValueError("matrix is singular")
     return Subspace.from_rows([f.apply(r) for r in a.basis], a.n)
-
-
-def inverse_transpose(f: LinMap) -> LinMap:
-    return f.inverse_transpose()
 
 
 def complete_to_invertible(a: Subspace, rng: np.random.Generator) -> LinMap:

@@ -11,7 +11,6 @@ one dual oracle query.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -24,9 +23,9 @@ from .qsim import (
     PhaseOracle,
     Projector,
     StateVector,
-    hadamard_all,
-    measure_projector,
+    subspace_mask,
     subspace_state,
+    verify_two_basis,
     walsh_hadamard_raw,
 )
 
@@ -61,7 +60,6 @@ class OracleBundle:
             raise ValueError("ambient dimension exceeds the simulator cap")
         self.n = n
         self._rng = rng
-        self._lock = threading.Lock()
         self._by_r: Dict[int, BundleEntry] = {}
         self._by_serial: Dict[bytes, BundleEntry] = {}
         self._primal: Dict[bytes, PhaseOracle] = {}
@@ -78,15 +76,14 @@ class OracleBundle:
     def _entry(self, r: int) -> BundleEntry:
         if not 0 <= r < (1 << self.n):
             raise ValueError("r outside {0,1}^n")
-        with self._lock:
-            entry = self._by_r.get(r)
-            if entry is None:
+        entry = self._by_r.get(r)
+        if entry is None:
+            serial = _sample_serial(self.n, self._rng)
+            while serial in self._by_serial:
                 serial = _sample_serial(self.n, self._rng)
-                while serial in self._by_serial:
-                    serial = _sample_serial(self.n, self._rng)
-                entry = BundleEntry(r, serial, random_subspace(self.n, self.n // 2, self._rng))
-                self._by_r[r] = entry
-                self._by_serial[serial] = entry
+            entry = BundleEntry(r, serial, random_subspace(self.n, self.n // 2, self._rng))
+            self._by_r[r] = entry
+            self._by_serial[serial] = entry
         return entry
 
     def check_serial(self, serial: bytes) -> bool:
@@ -99,25 +96,21 @@ class OracleBundle:
 
     def primal_oracle(self, serial: bytes) -> PhaseOracle:
         """Phase oracle for the serial's subspace; identity on invalid serials."""
-        oracle = self._primal.get(serial)
-        if oracle is None:
-            entry = self._by_serial.get(serial)
-            if entry is None:
-                oracle = PhaseOracle(self.n, np.zeros(1 << self.n, dtype=np.bool_), "T_primal[invalid]")
-            else:
-                oracle = PhaseOracle.from_subspace(entry.subspace, "T_primal")
-            self._primal[serial] = oracle
-        return oracle
+        return self._oracle(self._primal, serial, "primal")
 
     def dual_oracle(self, serial: bytes) -> PhaseOracle:
-        oracle = self._dual.get(serial)
+        return self._oracle(self._dual, serial, "dual")
+
+    def _oracle(self, cache: Dict[bytes, PhaseOracle], serial: bytes, kind: str) -> PhaseOracle:
+        oracle = cache.get(serial)
         if oracle is None:
             entry = self._by_serial.get(serial)
             if entry is None:
-                oracle = PhaseOracle(self.n, np.zeros(1 << self.n, dtype=np.bool_), "T_dual[invalid]")
+                oracle = PhaseOracle(self.n, np.zeros(1 << self.n, dtype=np.bool_), f"T_{kind}[invalid]")
             else:
-                oracle = PhaseOracle.from_subspace(entry.subspace.dual(), "T_dual")
-            self._dual[serial] = oracle
+                sub = entry.subspace.dual() if kind == "dual" else entry.subspace
+                oracle = PhaseOracle.from_subspace(sub, f"T_{kind}")
+            cache[serial] = oracle
         return oracle
 
     @property
@@ -186,18 +179,7 @@ def verify_circuit(
         return False, state
     primal = Projector.from_oracle(bundle.primal_oracle(serial))
     dual = Projector.from_oracle(bundle.dual_oracle(serial))
-    ok1, s, _ = measure_projector(primal, state, rng)
-    s = hadamard_all(s)
-    ok2, s, _ = measure_projector(dual, s, rng)
-    s = hadamard_all(s)
-    return ok1 and ok2, s
-
-
-def verify(
-    bundle: OracleBundle, serial: bytes, state: StateVector, rng: np.random.Generator
-) -> bool:
-    ok, _ = verify_circuit(bundle, serial, state, rng)
-    return ok
+    return verify_two_basis(primal, dual, state, rng)
 
 
 def verifier_as_projector(bundle: OracleBundle, serial: bytes) -> Projector:
@@ -213,19 +195,15 @@ def verifier_circuit_matrix(bundle: OracleBundle, serial: bytes) -> np.ndarray:
     entry = bundle.lookup(serial)
     if entry is None:
         raise ValueError("invalid serial")
-    n = bundle.n
-    dim = 1 << n
-    if n > 10:
+    if bundle.n > 10:
         raise ValueError("dense circuit matrix only built for n <= 10")
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     had = np.array([[1.0]])
-    for _ in range(n):
+    for _ in range(bundle.n):
         had = np.kron(had, h)
-    mask_a = np.zeros(dim)
-    mask_a[entry.subspace.member_array()] = 1.0
-    mask_d = np.zeros(dim)
-    mask_d[entry.subspace.dual().member_array()] = 1.0
-    return had @ np.diag(mask_d) @ had @ np.diag(mask_a)
+    mask_a = np.diag(subspace_mask(entry.subspace).astype(float))
+    mask_d = np.diag(subspace_mask(entry.subspace.dual()).astype(float))
+    return had @ mask_d @ had @ mask_a
 
 
 def verifier_operator_distance(bundle: OracleBundle, serial: bytes) -> float:
@@ -241,8 +219,7 @@ def verifier_operator_distance(bundle: OracleBundle, serial: bytes) -> float:
         raise ValueError("invalid serial")
     n = bundle.n
     target = subspace_state(entry.subspace)
-    dual_mask = np.zeros(1 << n, dtype=np.bool_)
-    dual_mask[entry.subspace.dual().member_array()] = True
+    dual_mask = subspace_mask(entry.subspace.dual())
     worst = 0.0
     basis_col = np.zeros(1 << n, dtype=np.complex128)
     for x in entry.subspace.members():
@@ -278,7 +255,7 @@ class HsMiniScheme(MiniScheme):
         return verify_circuit(self.bundle, serial, state, rng)
 
 
-class ConjugatedOracle:
+class ConjugatedOracle(PhaseOracle):
     """Base subspace oracle composed with a basis permutation.
 
     Applying it charges the base oracle: the composed map is implemented by
@@ -286,21 +263,12 @@ class ConjugatedOracle:
     """
 
     def __init__(self, base: PhaseOracle, relabel: np.ndarray, label: str = ""):
+        super().__init__(base.n_qubits, base.mask[relabel], label)
         self.base = base
-        self.n_qubits = base.n_qubits
-        self.mask = base.mask[relabel]
-        self.label = label
-        self.query_count = 0
 
     def charge(self, k: int = 1) -> None:
-        self.query_count += k
+        super().charge(k)
         self.base.charge(k)
-
-    def apply(self, s: StateVector) -> StateVector:
-        self.charge()
-        amps = s.amps.copy()
-        amps[self.mask] = -amps[self.mask]
-        return StateVector._wrap(s.n_qubits, amps)
 
 
 @dataclass

@@ -17,12 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .qsim import (
-    Projector,
-    StateVector,
-    apply_projector_on_register,
-    measure_projector,
-)
+from .qsim import Projector, StateVector, measure_projector, measure_register
 
 
 class KeyExhaustionError(RuntimeError):
@@ -57,10 +52,6 @@ class MiniScheme:
         """Rank-1 verification target, or None for non-projective schemes."""
         return None
 
-    @property
-    def is_projective(self) -> bool:
-        return True
-
     def classical_accept(self, rng: np.random.Generator) -> bool:
         return True
 
@@ -78,48 +69,14 @@ class MiniScheme:
         return ok
 
 
-def _measure_target_on_register(
-    joint: np.ndarray,
-    n: int,
-    reg: int,
-    target: StateVector,
-    rng: np.random.Generator,
-) -> Tuple[bool, np.ndarray]:
-    if len(joint) == 1 << (2 * n):
-        # two-register fast path: view the joint state as a (high, low) matrix
-        # and reduce the measured register to its overlap vector first
-        m = joint.reshape(1 << n, 1 << n)
-        t = target.amps
-        c = m @ t.conj() if reg == 0 else t.conj() @ m
-        prob = min(max(float(np.vdot(c, c).real), 0.0), 1.0)
-        if rng.random() < prob:
-            cn = c / np.sqrt(prob)
-            post = np.outer(cn, t) if reg == 0 else np.outer(t, cn)
-            return True, post.reshape(-1)
-        kept = (np.outer(c, t) if reg == 0 else np.outer(t, c)).reshape(-1)
-        rest = joint - kept
-    else:
-        kept = apply_projector_on_register(joint, n, reg, Projector.onto_state(target))
-        prob = min(max(float(np.vdot(kept, kept).real), 0.0), 1.0)
-        if rng.random() < prob:
-            return True, kept / np.sqrt(prob)
-        rest = joint - kept
-    rnorm = np.linalg.norm(rest)
-    if rnorm < 1e-15:
-        raise ValueError("zero-probability branch requested deterministically")
-    return False, rest / rnorm
-
-
 JointInput = Union[StateVector, Tuple[StateVector, StateVector]]
 
 
 def _as_joint(m: MiniScheme, states: JointInput) -> StateVector:
-    if isinstance(states, StateVector):
-        if states.n_qubits != 2 * m.n:
-            raise ValueError("joint register must hold exactly two money states")
-        return states
-    s1, s2 = states
-    return s1.tensor(s2)
+    joint = states if isinstance(states, StateVector) else states[0].tensor(states[1])
+    if joint.n_qubits != 2 * m.n:
+        raise ValueError("joint register must hold exactly two money states")
+    return joint
 
 
 def verify2(
@@ -137,10 +94,9 @@ def verify2_post(
     if target is None:
         raise ValueError("double verification needs a projective scheme")
     joint = _as_joint(m, states)
-    amps = joint.amps
-    ok1, amps = _measure_target_on_register(amps, m.n, 0, target, rng)
+    ok1, amps = measure_register(joint.amps, target, rng)
     ok1 = ok1 and m.classical_accept(rng)
-    ok2, amps = _measure_target_on_register(amps, m.n, 1, target, rng)
+    ok2, amps = measure_register(amps, target, rng, top=True)
     ok2 = ok2 and m.classical_accept(rng)
     return ok1 and ok2, StateVector._wrap(joint.n_qubits, amps)
 
@@ -275,20 +231,6 @@ class LamportMerkleSigner(SignatureScheme):
             node = _h(node + sibling) if idx % 2 == 0 else _h(sibling + node)
             idx >>= 1
         return node == pk
-
-
-def lamport_keygen(rng: np.random.Generator, tree_height: int = 6):
-    signer = LamportMerkleSigner(tree_height)
-    sk, pk = signer.keygen(rng)
-    return signer, sk, pk
-
-
-def lamport_sign(signer: LamportMerkleSigner, sk, message: bytes) -> bytes:
-    return signer.sign(sk, message)
-
-
-def lamport_sverify(signer: LamportMerkleSigner, pk, message: bytes, signature: bytes) -> bool:
-    return signer.sverify(pk, message, signature)
 
 
 @dataclass

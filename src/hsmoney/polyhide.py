@@ -18,8 +18,17 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from . import config
+from .advlab import amplify_counterfeiter_state
 from .f2lin import LinMap, Subspace, complete_to_invertible, random_subspace, rref
-from .qsim import Projector, StateVector, hadamard_all, measure_projector, subspace_state
+from .qsim import (
+    Projector,
+    StateVector,
+    measure_projector,
+    subspace_mask,
+    subspace_state,
+    verify_two_basis,
+)
 
 
 class DegreeOneAttackError(RuntimeError):
@@ -121,10 +130,6 @@ class MultilinearPoly:
         return MultilinearPoly.from_masks(self.n_vars, self.degree_bound, np.flatnonzero(coeffs))
 
 
-def eval_poly(p: MultilinearPoly, v: int) -> int:
-    return p.eval(v)
-
-
 def change_basis(p: MultilinearPoly, L: LinMap) -> MultilinearPoly:
     return p.change_basis(L)
 
@@ -186,13 +191,6 @@ class PolySystem:
     def beta(self) -> float:
         return self.m / self.n_vars
 
-    @property
-    def polys(self) -> List[MultilinearPoly]:
-        return [
-            MultilinearPoly.from_masks(self.n_vars, self.degree_bound, np.flatnonzero(row))
-            for row in self.coeffs
-        ]
-
     def standard_threshold(self) -> int:
         return math.floor(self.eps * self.m + 1e-9)
 
@@ -236,11 +234,15 @@ class PolySystem:
     @classmethod
     def deserialize(cls, text: str, hidden_dim: Optional[int] = None) -> "PolySystem":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = dict(part.split("=", 1) for part in lines[0].split())
+        head = dict(part.split("=", 1) for part in lines[0].split()) if lines else {}
+        if not {"n", "d", "m", "eps"} <= head.keys():
+            raise ValueError("polynomial system header needs n, d, m and eps")
         n = int(head["n"])
         d = int(head["d"])
         m = int(head["m"])
         eps = float(head["eps"])
+        if not 0 < n <= config.qubit_cap():
+            raise ValueError(f"{n} variables outside (0, {config.qubit_cap()}]")
         if len(lines) - 1 != m:
             raise ValueError(f"header claims {m} polynomials, found {len(lines) - 1}")
         coeffs = np.zeros((m, 1 << n), dtype=np.uint8)
@@ -253,7 +255,7 @@ class PolySystem:
                 else:
                     mask = 0
                     for tok in term.split("."):
-                        if not tok.startswith("x"):
+                        if not tok.startswith("x") or not 0 <= int(tok[1:]) < n:
                             raise ValueError(f"bad monomial token {tok!r}")
                         mask |= 1 << int(tok[1:])
                     coeffs[i, mask] ^= 1
@@ -322,9 +324,7 @@ def zset_subspace(sys: PolySystem, variant: Optional[bool] = None) -> Optional[S
     sub = Subspace.from_rows([int(x) for x in members], sys.n_vars)
     if sub.dim != dim:
         return None
-    sub_mask = np.zeros(1 << sys.n_vars, dtype=np.bool_)
-    sub_mask[sub.member_array()] = True
-    if not np.array_equal(sub_mask, mask):
+    if not np.array_equal(subspace_mask(sub), mask):
         return None
     return sub
 
@@ -334,9 +334,6 @@ class ExplicitNote:
     primal_system: PolySystem
     dual_system: PolySystem
     state: StateVector
-
-    def serial_bytes(self) -> bytes:
-        return (self.primal_system.serialize() + "--\n" + self.dual_system.serialize()).encode()
 
 
 def bank_explicit_with_secret(
@@ -380,11 +377,7 @@ def verify_explicit_post(
     n = primal.n_vars
     p_z = Projector.from_mask(n, zset_mask(primal))
     p_zperp = Projector.from_mask(n, zset_mask(dual))
-    ok1, s, _ = measure_projector(p_z, note.state, rng)
-    s = hadamard_all(s)
-    ok2, s, _ = measure_projector(p_zperp, s, rng)
-    s = hadamard_all(s)
-    return ok1 and ok2, s
+    return verify_two_basis(p_z, p_zperp, note.state, rng)
 
 
 def verify_explicit(note: ExplicitNote, rng: np.random.Generator) -> bool:
@@ -447,8 +440,6 @@ def harvest_subspace_elements(
     """One reduction pass: counterfeit, amplify, verify twice, measure both
     registers in the standard basis. Returns measured vectors (empty when
     verification failed) and the number of amplification rounds used."""
-    from .advlab import amplify_counterfeiter_state  # deferred to avoid a cycle
-
     n = note.primal_system.n_vars
     z_sub = zset_subspace(note.primal_system)
     if z_sub is None:

@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 
 from . import config
 from .f2lin import Subspace, random_subspace
-from .qsim import Projector, StateVector, measure_projector, subspace_state
+from .qsim import Projector, StateVector, measure_projector, measure_register, subspace_state
 
 # BB84 codes: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->
 BB84_VECTORS = (
@@ -94,12 +94,6 @@ def wiesner_bank(n: int, rng: np.random.Generator) -> Tuple[NaiveBank, WiesnerNo
     return bank, bank.mint(rng)
 
 
-def wiesner_verify(
-    bank: NaiveBank, serial: bytes, qubits: Sequence[int], rng: np.random.Generator
-) -> Tuple[bool, List[int]]:
-    return bank.verify(serial, qubits, rng)
-
-
 # ---------------------------------------------------------------------------
 # cloning baselines
 
@@ -115,9 +109,6 @@ def measure_resend_clone(
         else:
             copies.append(int(rng.integers(0, 2)))
     return WiesnerNote(note.serial, list(copies)), WiesnerNote(note.serial, list(copies))
-
-
-naive_clone_attack = measure_resend_clone
 
 
 def measure_resend_per_qubit_exact() -> Fraction:
@@ -306,26 +297,9 @@ class KeyedSubspaceBank:
     ) -> Tuple[bool, StateVector]:
         """Verify qubits 0..n-1 of a larger register, leaving the rest alone."""
         self.verify_queries += 1
-        target = subspace_state(self.subspace_for(serial)).amps
-        rows = joint.amps.reshape(-1, 1 << self.n)
-        coeff = rows @ np.conj(target)
-        prob = min(1.0, float(np.vdot(coeff, coeff).real))
-        if rng.random() < prob:
-            post = np.kron(coeff / math.sqrt(prob), target)
-            return True, StateVector._wrap(joint.n_qubits, post)
-        rest = rows - np.outer(coeff, target)
-        rest /= np.linalg.norm(rest)
-        return False, StateVector._wrap(joint.n_qubits, rest.reshape(-1))
-
-
-def keyed_bank(bank: KeyedSubspaceBank, rng: np.random.Generator) -> Tuple[bytes, StateVector]:
-    return bank.mint(rng)
-
-
-def keyed_verify(
-    bank: KeyedSubspaceBank, serial: bytes, state: StateVector, rng: np.random.Generator
-) -> Tuple[bool, StateVector]:
-    return bank.verify(serial, state, rng)
+        target = subspace_state(self.subspace_for(serial))
+        ok, post = measure_register(joint.amps, target, rng)
+        return ok, StateVector._wrap(joint.n_qubits, post)
 
 
 def _swap_qubits(amps: np.ndarray, n_qubits: int, q1: int, q2: int) -> np.ndarray:

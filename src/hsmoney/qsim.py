@@ -9,7 +9,7 @@ are frozen after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -87,11 +87,29 @@ class StateVector:
         if not lines or not lines[0].startswith("n="):
             raise ValueError("bad state dump header")
         n = int(lines[0][2:])
+        _check_qubits(n)
         amps = np.zeros(1 << n, dtype=np.complex128)
+        seen = set()
         for ln in lines[1:]:
-            idx_s, re_s, im_s = ln.split()
-            amps[int(idx_s)] = float(re_s) + 1j * float(im_s)
+            fields = ln.split()
+            if len(fields) != 3:
+                raise ValueError(f"state dump line {ln!r} needs index, real and imaginary part")
+            idx, re, im = int(fields[0]), float(fields[1]), float(fields[2])
+            if not 0 <= idx < len(amps) or idx in seen:
+                raise ValueError(f"state dump index {idx} repeated or outside [0, {len(amps)})")
+            # NaN fails every comparison, so it is rejected here too
+            if not (abs(re) <= 1 + config.ATOL and abs(im) <= 1 + config.ATOL):
+                raise ValueError(f"state dump amplitude {ln!r} is not a number in [-1, 1]")
+            seen.add(idx)
+            amps[idx] = re + 1j * im
         return cls(n, amps)
+
+
+def subspace_mask(a: Subspace) -> np.ndarray:
+    """Boolean membership table of the subspace over all 2^n basis states."""
+    mask = np.zeros(1 << a.n, dtype=np.bool_)
+    mask[a.member_array()] = True
+    return mask
 
 
 def subspace_state(a: Subspace) -> StateVector:
@@ -122,21 +140,26 @@ def hadamard_all(s: StateVector) -> StateVector:
     return StateVector._wrap(s.n_qubits, walsh_hadamard_raw(s.amps))
 
 
-class PhaseOracle:
+class CountedOracle:
+    """Monotone query counter shared by every oracle."""
+
+    def __init__(self, label: str = ""):
+        self.label = label
+        self.query_count = 0
+
+    def charge(self, k: int = 1) -> None:
+        self.query_count += k
+
+
+class PhaseOracle(CountedOracle):
     """Classical oracle |x> -> (-1)^{f(x)} |x>, with a monotone query counter."""
 
     def __init__(self, n_qubits: int, mask: np.ndarray, label: str = ""):
         if mask.shape != (1 << n_qubits,) or mask.dtype != np.bool_:
             raise ValueError("mask must be a boolean array over all basis states")
+        super().__init__(label)
         self.n_qubits = n_qubits
         self.mask = mask
-        self.label = label
-        self.query_count = 0
-
-    @classmethod
-    def from_predicate(cls, n_qubits: int, pred: Callable[[int], bool], label: str = "") -> "PhaseOracle":
-        mask = np.fromiter((bool(pred(x)) for x in range(1 << n_qubits)), dtype=np.bool_)
-        return cls(n_qubits, mask, label)
 
     @classmethod
     def from_indices(cls, n_qubits: int, indices, label: str = "") -> "PhaseOracle":
@@ -146,10 +169,7 @@ class PhaseOracle:
 
     @classmethod
     def from_subspace(cls, a: Subspace, label: str = "") -> "PhaseOracle":
-        return cls.from_indices(a.n, a.member_array(), label or f"U_dim{a.dim}")
-
-    def charge(self, k: int = 1) -> None:
-        self.query_count += k
+        return cls(a.n, subspace_mask(a), label or f"U_dim{a.dim}")
 
     def apply(self, s: StateVector, control: Optional[int] = None) -> StateVector:
         """Phase-flip accepted basis states; one query per call, controlled or not."""
@@ -169,31 +189,19 @@ class PhaseOracle:
         return StateVector._wrap(s.n_qubits, amps)
 
 
-def apply_oracle(u: PhaseOracle, s: StateVector, control: Optional[int] = None) -> StateVector:
-    """Apply a phase oracle (optionally controlled); charges one query."""
-    return u.apply(s, control)
-
-
 def oracle_for_dual_pair(a: Subspace, label: str = "") -> PhaseOracle:
     """Oracle over n+1 bits flipping (0, A) union (1, A_perp)."""
-    n = a.n
-    mask = np.zeros(1 << (n + 1), dtype=np.bool_)
-    mask[a.member_array()] = True
-    mask[a.dual().member_array() + (1 << n)] = True
-    return PhaseOracle(n + 1, mask, label or "U_pair")
+    mask = np.concatenate([subspace_mask(a), subspace_mask(a.dual())])
+    return PhaseOracle(a.n + 1, mask, label or "U_pair")
 
 
-class ReflectAboutState:
+class ReflectAboutState(CountedOracle):
     """Query-counted reflection I - 2|psi><psi| about a fixed state."""
 
     def __init__(self, target: StateVector, label: str = ""):
+        super().__init__(label)
         self.target = target
         self.n_qubits = target.n_qubits
-        self.label = label
-        self.query_count = 0
-
-    def charge(self, k: int = 1) -> None:
-        self.query_count += k
 
     def apply(self, s: StateVector) -> StateVector:
         self.charge()
@@ -236,9 +244,7 @@ class Projector:
 
     @classmethod
     def from_subspace(cls, a: Subspace, charge_to=None) -> "Projector":
-        mask = np.zeros(1 << a.n, dtype=np.bool_)
-        mask[a.member_array()] = True
-        return cls(a.n, mask=mask, charge_to=charge_to)
+        return cls(a.n, mask=subspace_mask(a), charge_to=charge_to)
 
     def project(self, amps: np.ndarray) -> np.ndarray:
         """P @ amps, unnormalized."""
@@ -275,6 +281,38 @@ def measure_projector(
     return False, StateVector._wrap(s.n_qubits, rest / rnorm), prob
 
 
+def verify_two_basis(
+    primal: Projector, dual: Projector, state: StateVector, rng: np.random.Generator
+) -> Tuple[bool, StateVector]:
+    """Two-basis verifier: measure the primal projector, Hadamard every qubit,
+    measure the dual projector, transform back. Accepts when both accept."""
+    ok1, s, _ = measure_projector(primal, state, rng)
+    ok2, s, _ = measure_projector(dual, hadamard_all(s), rng)
+    return ok1 and ok2, hadamard_all(s)
+
+
+def measure_register(
+    joint: np.ndarray, target: StateVector, rng: np.random.Generator, top: bool = False
+) -> Tuple[bool, np.ndarray]:
+    """Born-rule measurement of |t><t| on one n-qubit register of a larger
+    pure state: the low n qubits, or with `top` the top n qubits. Returns the
+    outcome and the normalized post-measurement amplitudes."""
+    t = target.amps
+    if top:
+        c = t.conj() @ joint.reshape(len(t), -1)
+    else:
+        c = joint.reshape(-1, len(t)) @ t.conj()
+    prob = min(max(float(np.vdot(c, c).real), 0.0), 1.0)
+    if rng.random() < prob:
+        cn = c / np.sqrt(prob)
+        return True, (np.outer(t, cn) if top else np.outer(cn, t)).reshape(-1)
+    rest = joint - (np.outer(t, c) if top else np.outer(c, t)).reshape(-1)
+    rnorm = np.linalg.norm(rest)
+    if rnorm < 1e-15:
+        raise ValueError("zero-probability branch requested deterministically")
+    return False, rest / rnorm
+
+
 def postselect_projector(p: Projector, s: StateVector, outcome: bool) -> Tuple[StateVector, float]:
     """Deterministically take one branch; raises on a zero-probability branch."""
     if p.charge_to is not None:
@@ -306,10 +344,6 @@ class DensityOp:
         if evals.min() < -1e-9:
             raise ValueError("density operator has a negative eigenvalue beyond tolerance")
         self.matrix = m
-
-    @classmethod
-    def from_state(cls, s: StateVector) -> "DensityOp":
-        return cls(np.outer(s.amps, s.amps.conj()))
 
     @classmethod
     def mixture(cls, pairs) -> "DensityOp":

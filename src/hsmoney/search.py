@@ -23,7 +23,6 @@ from .qsim import (
     Projector,
     ReflectAboutState,
     StateVector,
-    fidelity_to_goal,
     measure_projector,
 )
 
@@ -60,9 +59,6 @@ class SearchProblem:
 
     def queries(self) -> int:
         return self.init_reflection.query_count + self.goal_reflection.query_count
-
-    def true_overlap(self) -> float:
-        return fidelity_to_goal(self.init_state, self.goal_projector)
 
 
 @dataclass
@@ -111,21 +107,30 @@ def amplitude_amplify(p: SearchProblem, T: int) -> StateVector:
     return s
 
 
-def _restore_projector(p: SearchProblem) -> Projector:
-    return Projector.onto_state(p.init_state, charge_to=p.init_reflection)
+def measure_restore(
+    goal: Projector,
+    restore: Projector,
+    s: StateVector,
+    budget: int,
+    rng: np.random.Generator,
+) -> Tuple[StateVector, int, bool]:
+    """Up to `budget` rounds of measuring the goal, each failure followed by a
+    measurement of the restore projector. Returns the final state, the rounds
+    used and whether the goal accepted; the restores made are rounds - hit."""
+    for rounds in range(1, budget + 1):
+        ok, s, _ = measure_projector(goal, s, rng)
+        if ok:
+            return s, rounds, True
+        _, s, _ = measure_projector(restore, s, rng)
+    return s, budget, False
 
 
 def fixed_point_search(p: SearchProblem, T: int, rng: np.random.Generator) -> StateVector:
     """Monotone search: T rounds of goal measurement with init restoration."""
     if T < 0:
         raise ValueError("round count must be nonnegative")
-    restore = _restore_projector(p)
-    s = p.init_state
-    for _ in range(T):
-        ok, s, _ = measure_projector(p.goal_projector, s, rng)
-        if ok:
-            break
-        _, s, _ = measure_projector(restore, s, rng)
+    restore = Projector.onto_state(p.init_state, charge_to=p.init_reflection)
+    s, _, _ = measure_restore(p.goal_projector, restore, p.init_state, T, rng)
     return s
 
 
@@ -154,16 +159,8 @@ def hybrid_search(
         raise ValueError("hybrid schedule requires delta >= 2 * eps")
     T = int(rng.integers(0, params.L + 1))
     phi = amplitude_amplify(p, T)
-    restore = Projector.onto_state(phi)
-    s = phi
-    rounds = 0
-    for _ in range(params.R):
-        rounds += 1
-        ok, s, _ = measure_projector(p.goal_projector, s, rng)
-        if ok:
-            break
-        p.init_reflection.charge(T + 1)
-        _, s, _ = measure_projector(restore, s, rng)
+    s, rounds, hit = measure_restore(p.goal_projector, Projector.onto_state(phi), phi, params.R, rng)
+    p.init_reflection.charge((T + 1) * (rounds - hit))
     if trace is not None:
         trace.update(T=T, rounds=rounds)
     return s, p.queries() - before

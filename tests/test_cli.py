@@ -140,3 +140,29 @@ def test_qubit_cap_env_override(monkeypatch):
         run_experiment(cfg)
     monkeypatch.delenv("HSMONEY_QUBIT_CAP")
     assert config.qubit_cap() == 20
+
+
+@pytest.mark.parametrize(
+    "suffix, text",
+    [
+        (".state", "n=6\n999 1.0 0.0\n"),  # index beyond 2^n
+        (".state", "n=6\n-1 1.0 0.0\n"),  # negative index would wrap around
+        (".state", "n=6\n0 1.0 0.0\n0 1.0 0.0\n"),  # repeated index
+        (".state", "n=6\n0 nan 0.0\n"),  # NaN slips through the norm check
+        (".state", "n=6\n0 1e308 1e308\n"),  # the norm overflows
+        (".state", "n=6\n0 1.0\n"),  # missing field
+        (".state", "n=21\n0 1.0 0.0\n"),  # beyond the qubit cap
+        (".primal", "n=21 d=4 m=1 eps=0.25\n-\n"),  # beyond the qubit cap
+        (".primal", "n=6 d=4 m=1 eps=0.25\nx9\n"),  # variable outside n
+        (".primal", "n=6 d=4 m=1\n-\n"),  # header without eps
+        (".primal", ""),  # no header
+    ],
+)
+def test_verify_explicit_rejects_malformed_note(tmp_path, capsys, suffix, text):
+    prefix = str(tmp_path / "note")
+    assert main(["mint-explicit", "--n", "6", "--seed", "5", "--out", prefix]) == EXIT_OK
+    (tmp_path / ("note" + suffix)).write_text(text)
+    capsys.readouterr()
+    assert main(["verify-explicit", "--note", prefix]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

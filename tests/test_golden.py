@@ -12,7 +12,6 @@ and state in CHANGES.md which fields changed and why.
 """
 
 import json
-import sys
 from pathlib import Path
 
 from hsmoney.experiments import CATALOG, ExperimentConfig, run_experiment
@@ -74,4 +73,3 @@ def test_reports_match_golden():
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(render())
-    sys.exit(0)

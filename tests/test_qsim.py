@@ -307,3 +307,46 @@ def test_apply_projector_on_register():
     assert np.vdot(out0, out0).real == pytest.approx(1.0)  # register 0 already |A>
     out1 = qsim.apply_projector_on_register(joint.amps, 4, 1, p)
     assert np.vdot(out1, out1).real == pytest.approx(psi.overlap(sa) ** 2)
+
+
+class _FixedDraw:
+    """Stand-in generator whose every uniform draw is u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("layout", ["low of 2n", "top of 2n", "low of n+1"])
+def test_measure_register_matches_projector_on_register(layout):
+    # the measurement accepts exactly when the draw lies below the reference
+    # probability (pinned to 1e-12 from both sides), and both branches give
+    # the reference post-states to rounding; the top register is contracted
+    # through a different view than the reference's, so bits may differ
+    n = 4
+    rng = np.random.default_rng(39)
+    target = haar_random_state(n, rng)
+    if layout == "low of n+1":
+        joint = haar_random_state(n + 1, rng).amps
+        # reference: pad to 2n qubits with |0> above, then project register 0
+        padded = np.zeros(1 << (2 * n), dtype=np.complex128)
+        padded[: len(joint)] = joint
+        kept = qsim.apply_projector_on_register(padded, n, 0, Projector.onto_state(target))
+        assert not kept[len(joint):].any()
+        kept = kept[: len(joint)]
+    else:
+        joint = haar_random_state(2 * n, rng).amps
+        reg = 1 if layout == "top of 2n" else 0
+        kept = qsim.apply_projector_on_register(joint, n, reg, Projector.onto_state(target))
+    top = layout == "top of 2n"
+    prob = float(np.vdot(kept, kept).real)
+    rest = joint - kept
+
+    ok, post = qsim.measure_register(joint, target, _FixedDraw(prob - 1e-12), top=top)
+    assert ok
+    assert np.abs(post - kept / np.sqrt(prob)).max() < 1e-14
+    ok, post = qsim.measure_register(joint, target, _FixedDraw(prob + 1e-12), top=top)
+    assert not ok
+    assert np.abs(post - rest / np.linalg.norm(rest)).max() < 1e-14
