@@ -33,7 +33,7 @@ from .qsim import (
     oracle_for_dual_pair,
     subspace_state,
 )
-from .search import SearchParams, SearchProblem, hybrid_search, measure_restore
+from .search import SearchParams, SearchProblem, amplitude_amplify, hybrid_search, measure_restore
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +455,13 @@ def amplify_counterfeiter_state(
     eps: float,
     delta: float,
     rng: np.random.Generator,
-    max_rounds: int = 200,
 ) -> Tuple[StateVector, int]:
-    """State-level fixed-point amplification toward target x target."""
+    """State-level fixed-point amplification toward target x target, in at
+    most 200 rounds."""
     goal = Projector.onto_state(target.tensor(target))
     eps_fid = math.sqrt(max(eps, 1e-6))
     budget = min(
-        max_rounds,
-        max(1, math.ceil(math.log(1 / delta) / (config.FIXED_POINT_RATE * eps_fid ** 2))),
+        200, max(1, math.ceil(math.log(1 / delta) / (config.FIXED_POINT_RATE * eps_fid ** 2)))
     )
     s, rounds, _ = measure_restore(goal, Projector.onto_state(doubled), doubled, budget, rng)
     return s, rounds
@@ -491,13 +490,13 @@ def clone_by_search(
     n: int,
     rng: np.random.Generator,
     overlap_guess: Optional[float] = None,
-    max_attempts: int = 64,
 ) -> Tuple[StateVector, int]:
     """Prepare the oracle's target by amplitude amplification from the
-    uniform superposition, retrying with fresh starts on failure.
+    uniform superposition, with up to 64 fresh starts.
 
-    The diffusion about the uniform state is query-free; each iteration
-    charges one target-oracle call, and each final check charges one more.
+    The diffusion about the uniform state is query-free (its reflection's own
+    counter is never read); each iteration charges one target-oracle call,
+    and each final check charges one more.
     """
     uniform = StateVector.uniform(n)
     if overlap_guess is None:
@@ -505,19 +504,12 @@ def clone_by_search(
     theta = math.asin(min(1.0, overlap_guess))
     t_star = max(0, round(math.pi / (4 * theta) - 0.5))
     goal = Projector.onto_state(target_oracle.target, charge_to=target_oracle)
-
-    def diffuse(s: StateVector) -> StateVector:
-        cc = np.vdot(uniform.amps, s.amps)
-        return StateVector._wrap(n, 2.0 * cc * uniform.amps - s.amps)
-
+    problem = SearchProblem(uniform, ReflectAboutState(uniform), target_oracle, goal)
     before = target_oracle.query_count
-    for attempt in range(1, max_attempts + 1):
-        s = uniform
-        for _ in range(t_star):
-            s = diffuse(target_oracle.apply(s))
-        ok, s, _ = measure_projector(goal, s, rng)
+    for _ in range(64):
+        ok, s, _ = measure_projector(goal, amplitude_amplify(problem, t_star), rng)
         if ok:
-            return s, target_oracle.query_count - before
+            break
     return s, target_oracle.query_count - before
 
 
@@ -540,8 +532,9 @@ class KCopyReport:
         return float(np.median(self.queries))
 
 
-def kcopy_run(n: int, k: int, rng: np.random.Generator, max_attempts: int = 256) -> int:
-    """Query cost of producing copy k+1 from k held copies of a Haar state.
+def kcopy_run(n: int, k: int, rng: np.random.Generator) -> int:
+    """Query cost of producing copy k+1 from k held copies of a Haar state,
+    over up to 256 fresh attempts.
 
     Symmetrizing the k copies with a fresh uniform register boosts the
     initial goal overlap by sqrt(k+1); the amplification then runs exactly
@@ -550,7 +543,7 @@ def kcopy_run(n: int, k: int, rng: np.random.Generator, max_attempts: int = 256)
     The symmetrization itself is query-free.
     """
     queries = 0
-    for _ in range(max_attempts):
+    for _ in range(256):
         psi = haar_random_state(n, rng)
         alpha = abs(StateVector.uniform(n).inner(psi))
         beta = math.sqrt(max(0.0, 1 - alpha ** 2))

@@ -13,11 +13,10 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from typing import List, Optional
 
 import numpy as np
-
-from dataclasses import asdict
 
 from . import f2lin, hsmini, polyhide, privkey
 from .experiments import CATALOG, ExperimentConfig, run_experiment
@@ -42,7 +41,7 @@ def _emit_report(cfg: ExperimentConfig, outcome, out: Optional[str]) -> None:
     params = {
         k: v
         for k, v in asdict(resolved).items()
-        if k not in ("experiment", "seed", "out", "workers") and v is not None
+        if k not in ("experiment", "seed", "workers") and v is not None
     }
     header = {"experiment": cfg.experiment, "seed": cfg.seed, "params": params}
     _emit_records([header] + outcome.records, out)
@@ -111,8 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
         wp = wsub.add_parser(name)
         wp.add_argument("--n", type=int, default=16)
         wp.add_argument("--seed", type=int, default=0)
-        wp.add_argument("--trials", type=int, default=100)
-        wp.add_argument("--out", default=None)
+        if name != "mint":
+            wp.add_argument("--trials", type=int, default=100)
+        if name.startswith("attack-"):
+            wp.add_argument("--out", default=None)
 
     keyed = sub.add_parser("keyed", help="keyed hidden-subspace private scheme")
     ksub = keyed.add_subparsers(dest="subcommand", required=True)
@@ -120,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
         kp = ksub.add_parser(name)
         kp.add_argument("--n", type=int, default=10)
         kp.add_argument("--seed", type=int, default=0)
-        kp.add_argument("--trials", type=int, default=100)
+        if name == "verify":
+            kp.add_argument("--trials", type=int, default=100)
 
     bundle = sub.add_parser("bundle", help="oracle bundle snapshots")
     bsub = bundle.add_subparsers(dest="subcommand", required=True)
@@ -135,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_catalog() -> int:
+def _cmd_catalog(_args) -> int:
     width = max(len(k) for k in CATALOG)
     for key in sorted(CATALOG):
         spec = CATALOG[key]
@@ -145,36 +147,18 @@ def _cmd_catalog() -> int:
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    cfg = ExperimentConfig(
-        experiment=args.experiment,
-        n=args.n,
-        d=args.d if args.d is not None else 4,
-        eps=args.eps,
-        beta=args.beta,
-        delta=args.delta,
-        k=args.k,
-        eta=args.eta,
-        trials=args.trials,
-        seed=args.seed,
-        scheme=args.scheme or "hsmini",
-        target=args.target or "haar",
-        out=args.out,
-        workers=workers,
-    )
-    try:
-        outcome = run_experiment(cfg)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _emit_report(cfg, outcome, args.out)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _run_report(cfg: ExperimentConfig, out: Optional[str]) -> int:
+    outcome = run_experiment(cfg)
+    _emit_report(cfg, outcome, out)
     _print_summary(outcome.summary, outcome.ok)
     return EXIT_OK if outcome.ok else EXIT_ASSERTION
+
+
+def _cmd_run(args) -> int:
+    names = {f.name for f in fields(ExperimentConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    given["workers"] = args.workers if args.workers > 0 else (os.cpu_count() or 1)
+    return _run_report(ExperimentConfig(**given), args.out)
 
 
 def _cmd_mint_explicit(args) -> int:
@@ -186,11 +170,7 @@ def _cmd_mint_explicit(args) -> int:
         )
         return EXIT_USAGE
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    try:
-        note = polyhide.bank_explicit(args.n, args.d, args.eps, args.beta, rng)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    note = polyhide.bank_explicit(args.n, args.d, args.eps, args.beta, rng)
     with open(args.out + ".primal", "w") as fh:
         fh.write(note.primal_system.serialize())
     with open(args.out + ".dual", "w") as fh:
@@ -203,16 +183,12 @@ def _cmd_mint_explicit(args) -> int:
 
 def _cmd_verify_explicit(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    try:
-        with open(args.note + ".primal") as fh:
-            primal = polyhide.PolySystem.deserialize(fh.read())
-        with open(args.note + ".dual") as fh:
-            dual = polyhide.PolySystem.deserialize(fh.read())
-        with open(args.note + ".state") as fh:
-            state = StateVector.load(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.note + ".primal") as fh:
+        primal = polyhide.PolySystem.deserialize(fh.read())
+    with open(args.note + ".dual") as fh:
+        dual = polyhide.PolySystem.deserialize(fh.read())
+    with open(args.note + ".state") as fh:
+        state = StateVector.load(fh.read())
     note = polyhide.ExplicitNote(primal, dual, state)
     ok = polyhide.verify_explicit(note, rng)
     print("ACCEPT" if ok else "REJECT")
@@ -243,16 +219,14 @@ def _cmd_wiesner(args) -> int:
         print(json.dumps({"serial": note.serial.hex(), "qubits": note.qubits}))
         return EXIT_OK
     if args.subcommand == "verify":
+        if args.trials < 1:
+            raise ValueError("trials must be positive")
         bank, note = privkey.wiesner_bank(args.n, rng)
         accepts = sum(bank.verify(note.serial, note.qubits, rng)[0] for _ in range(args.trials))
         print(f"accepted {accepts}/{args.trials}")
         return EXIT_OK if accepts == args.trials else EXIT_ASSERTION
-    cfg = ExperimentConfig(experiment=args.subcommand, n=args.n,
-                           trials=args.trials, seed=args.seed, out=args.out)
-    outcome = run_experiment(cfg)
-    _emit_report(cfg, outcome, args.out)
-    _print_summary(outcome.summary, outcome.ok)
-    return EXIT_OK if outcome.ok else EXIT_ASSERTION
+    cfg = ExperimentConfig(experiment=args.subcommand, n=args.n, trials=args.trials, seed=args.seed)
+    return _run_report(cfg, args.out)
 
 
 def _cmd_keyed(args) -> int:
@@ -262,6 +236,8 @@ def _cmd_keyed(args) -> int:
     if args.subcommand == "mint":
         print(json.dumps({"serial": serial.hex(), "state": state.dump().splitlines()[0]}))
         return EXIT_OK
+    if args.trials < 1:
+        raise ValueError("trials must be positive")
     accepts = 0
     for _ in range(args.trials):
         ok, state = bank.verify(serial, state, rng)
@@ -273,23 +249,30 @@ def _cmd_keyed(args) -> int:
 def _cmd_bundle(args) -> int:
     if args.subcommand == "export":
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        bundle = hsmini.make_bundle(args.n, rng)
+        bundle = hsmini.OracleBundle(args.n, rng)
         for r in range(args.touch):
             bundle.generator(r)
         with open(args.out, "w") as fh:
             fh.write(bundle.export_json() + "\n")
         print(f"exported {args.touch} entries at n={args.n} to {args.out}")
         return EXIT_OK
-    try:
-        with open(args.snapshot) as fh:
-            text = fh.read()
-        bundle = hsmini.OracleBundle.import_json(text, np.random.default_rng(0))
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.snapshot) as fh:
+        bundle = hsmini.OracleBundle.import_json(fh.read(), np.random.default_rng(0))
     entries = len(bundle.snapshot()["entries"])
     print(f"imported bundle: n={bundle.n}, {entries} entries")
     return EXIT_OK
+
+
+_COMMANDS = {
+    "catalog": _cmd_catalog,
+    "run": _cmd_run,
+    "mint-explicit": _cmd_mint_explicit,
+    "verify-explicit": _cmd_verify_explicit,
+    "attack-d1": _cmd_attack_d1,
+    "wiesner": _cmd_wiesner,
+    "keyed": _cmd_keyed,
+    "bundle": _cmd_bundle,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -298,23 +281,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "catalog":
-        return _cmd_catalog()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "mint-explicit":
-        return _cmd_mint_explicit(args)
-    if args.command == "verify-explicit":
-        return _cmd_verify_explicit(args)
-    if args.command == "attack-d1":
-        return _cmd_attack_d1(args)
-    if args.command == "wiesner":
-        return _cmd_wiesner(args)
-    if args.command == "keyed":
-        return _cmd_keyed(args)
-    if args.command == "bundle":
-        return _cmd_bundle(args)
-    return EXIT_USAGE
+    # the one error boundary: bad input, unreadable or unwritable files and
+    # unknown keys end in one line on stderr and exit code 2
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -39,8 +39,9 @@ MIXED_FIDELITY_DIM_CAP = 256
 FIXED_POINT_RATE = 0.8
 
 # Hybrid search schedule constants: L = ceil(100/xi) draws above, and
-# R = (25/delta^2)(2 + ln(1/delta)) clean-up rounds. Conservative defaults,
-# exposed as knobs; nothing here claims they are tight.
+# R = (25/delta^2)(2 + ln(1/delta)) / FIXED_POINT_RATE clean-up rounds
+# (search.SearchParams). Conservative constants; nothing here claims they
+# are tight.
 HYBRID_L_NUMERATOR = 100.0
 HYBRID_R_FACTOR = 25.0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class ExperimentConfig:
     seed: int = 0
     scheme: str = "hsmini"
     target: str = "haar"
-    out: Optional[str] = None
     workers: int = 1
 
     def resolved(self, defaults: Dict) -> "ExperimentConfig":
@@ -60,29 +59,23 @@ class ExperimentSpec:
     runner: Callable[[ExperimentConfig], ExperimentOutcome]
 
 
-def _map_trials(cfg: ExperimentConfig, fn_name: str, trials: int) -> List[dict]:
-    # spawned children are reproducible from (entropy, spawn_key); pass both
-    # explicitly so pool workers rebuild the exact per-trial generator
+def _map_trials(
+    cfg: ExperimentConfig, fn: Callable[[ExperimentConfig, int, np.random.Generator], dict], trials: int
+) -> List[dict]:
+    """fn(cfg, i, rng) for every trial i, in trial order; trial i draws from
+    the i-th child of the root seed, so records match at any worker count.
+    The trial function, the config and the seed sequence all pickle."""
     seqs = np.random.SeedSequence(cfg.seed).spawn(trials)
-    jobs = [
-        (fn_name, asdict(cfg), i, (seqs[i].entropy, seqs[i].spawn_key))
-        for i in range(trials)
-    ]
-    if cfg.workers and cfg.workers > 1:
+    jobs = [(fn, cfg, i, seq) for i, seq in enumerate(seqs)]
+    if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_pool_entry, jobs, chunksize=max(1, trials // (4 * cfg.workers))))
-    else:
-        results = [_pool_entry(job) for job in jobs]
-    return [rec for _, rec in sorted(results, key=lambda pair: pair[0])]
+            return list(pool.map(_run_trial, jobs, chunksize=max(1, trials // (4 * cfg.workers))))
+    return [_run_trial(job) for job in jobs]
 
 
-def _pool_entry(args) -> Tuple[int, dict]:
-    fn_name, cfg_dict, index, seed_parts = args
-    entropy, spawn_key = seed_parts
-    seq = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    fn = globals()[fn_name]
-    rec = fn(ExperimentConfig(**cfg_dict), index, np.random.default_rng(seq))
-    return index, rec
+def _run_trial(job) -> dict:
+    fn, cfg, index, seq = job
+    return fn(cfg, index, np.random.default_rng(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +84,7 @@ def _pool_entry(args) -> Tuple[int, dict]:
 
 def _mint_and_verify_once(cfg: ExperimentConfig, rng: np.random.Generator) -> bool:
     if cfg.scheme == "hsmini":
-        scheme = hsmini.HsMiniScheme(hsmini.make_bundle(cfg.n, rng))
+        scheme = hsmini.HsMiniScheme(hsmini.OracleBundle(cfg.n, rng))
         note = scheme.bank(rng)
         return scheme.verify(note.serial, note.state, rng)
     if cfg.scheme == "explicit":
@@ -114,7 +107,7 @@ def trial_verify_roundtrip(cfg: ExperimentConfig, index: int, rng) -> dict:
 
 
 def run_verify_roundtrip(cfg: ExperimentConfig) -> ExperimentOutcome:
-    records = _map_trials(cfg, "trial_verify_roundtrip", cfg.trials)
+    records = _map_trials(cfg, trial_verify_roundtrip, cfg.trials)
     accepts = sum(r["accepted"] for r in records)
     ok = accepts == cfg.trials
     return ExperimentOutcome(
@@ -135,7 +128,7 @@ def trial_duality(cfg: ExperimentConfig, index: int, rng) -> dict:
 
 
 def run_duality_check(cfg: ExperimentConfig) -> ExperimentOutcome:
-    records = _map_trials(cfg, "trial_duality", cfg.trials)
+    records = _map_trials(cfg, trial_duality, cfg.trials)
     worst = min(r["fidelity"] for r in records)
     ok = worst >= 1 - 1e-9
     return ExperimentOutcome(records, {"n": cfg.n, "worst_fidelity": worst}, ok)
@@ -152,7 +145,7 @@ def run_verifier_projector(cfg: ExperimentConfig) -> ExperimentOutcome:
     sizes = (4, 6, 8, 10) if cfg.n is None else (cfg.n,)
     for n in sizes:
         for t in range(cfg.trials):
-            bundle = hsmini.make_bundle(n, rng)
+            bundle = hsmini.OracleBundle(n, rng)
             note = hsmini.bank(bundle, rng)
             diff = hsmini.verifier_operator_distance(bundle, note.serial)
             worst = max(worst, diff)
@@ -182,7 +175,7 @@ def trial_hybrid(cfg: ExperimentConfig, index: int, rng) -> dict:
 
 
 def run_hybrid_budget(cfg: ExperimentConfig) -> ExperimentOutcome:
-    records = _map_trials(cfg, "trial_hybrid", cfg.trials)
+    records = _map_trials(cfg, trial_hybrid, cfg.trials)
     mean_infid = float(np.mean([1 - r["fidelity"] for r in records]))
     mean_queries = float(np.mean([r["queries"] for r in records]))
     budget = config.HYBRID_QUERY_K * math.log(1 / cfg.delta) / (cfg.eps * cfg.delta ** 2)
@@ -220,7 +213,7 @@ def _fixed_point_checkpoints(cfg: ExperimentConfig) -> List[int]:
 
 
 def run_fixed_point_monotone(cfg: ExperimentConfig) -> ExperimentOutcome:
-    records = _map_trials(cfg, "trial_fixed_point", cfg.trials)
+    records = _map_trials(cfg, trial_fixed_point, cfg.trials)
     checkpoints = _fixed_point_checkpoints(cfg)
     means = []
     sems = []
@@ -252,7 +245,7 @@ def run_fixed_point_monotone(cfg: ExperimentConfig) -> ExperimentOutcome:
 
 
 def trial_amplify(cfg: ExperimentConfig, index: int, rng) -> dict:
-    scheme = hsmini.HsMiniScheme(hsmini.make_bundle(cfg.n, rng))
+    scheme = hsmini.HsMiniScheme(hsmini.OracleBundle(cfg.n, rng))
     note = scheme.bank(rng)
     cloner = advlab.PlantedCloner(scheme.target_state(note.serial), cfg.eps)
     res = advlab.amplify_counterfeiter(cloner, scheme, note, cfg.eps, cfg.delta, rng)
@@ -266,7 +259,7 @@ def trial_amplify(cfg: ExperimentConfig, index: int, rng) -> dict:
 
 
 def run_amplify_counterfeiter(cfg: ExperimentConfig) -> ExperimentOutcome:
-    records = _map_trials(cfg, "trial_amplify", cfg.trials)
+    records = _map_trials(cfg, trial_amplify, cfg.trials)
     pass_rate = sum(r["passed"] for r in records) / len(records)
     mean_queries = float(np.mean([r["queries"] for r in records]))
     budget = advlab.amplification_budget(cfg.eps, cfg.delta)
@@ -332,7 +325,7 @@ def trial_clone_search(cfg: ExperimentConfig, index: int, rng) -> dict:
 
 
 def run_clone_search(cfg: ExperimentConfig) -> ExperimentOutcome:
-    records = _map_trials(cfg, "trial_clone_search", cfg.trials)
+    records = _map_trials(cfg, trial_clone_search, cfg.trials)
     med = float(np.median([r["queries"] for r in records]))
     exponent = cfg.n / 2 if cfg.target == "haar" else cfg.n / 4
     ref = (math.pi / 4) * 2 ** exponent
@@ -383,7 +376,7 @@ def trial_explicit_mint_verify(cfg: ExperimentConfig, index: int, rng) -> dict:
 
 
 def run_explicit_mint_verify(cfg: ExperimentConfig) -> ExperimentOutcome:
-    records = _map_trials(cfg, "trial_explicit_mint_verify", cfg.trials)
+    records = _map_trials(cfg, trial_explicit_mint_verify, cfg.trials)
     accepts = sum(r["accepted"] for r in records)
     z_rate = sum(r["z_exact"] for r in records) / len(records)
     ok = accepts == cfg.trials and z_rate >= 0.99
@@ -414,7 +407,7 @@ def trial_attack_d1(cfg: ExperimentConfig, index: int, rng) -> dict:
 
 
 def run_attack_d1(cfg: ExperimentConfig) -> ExperimentOutcome:
-    records = _map_trials(cfg, "trial_attack_d1", cfg.trials)
+    records = _map_trials(cfg, trial_attack_d1, cfg.trials)
     rate = sum(r["recovered"] for r in records) / len(records)
     ok = rate >= 0.99
     return ExperimentOutcome(
@@ -441,7 +434,7 @@ def trial_attack_adaptive(cfg: ExperimentConfig, index: int, rng) -> dict:
 
 
 def run_attack_adaptive(cfg: ExperimentConfig) -> ExperimentOutcome:
-    records = _map_trials(cfg, "trial_attack_adaptive", cfg.trials)
+    records = _map_trials(cfg, trial_attack_adaptive, cfg.trials)
     rate = sum(r["recovered"] for r in records) / len(records)
     queries = records[0]["queries"]
     samples = cfg.k or privkey.default_samples_per_candidate(cfg.n)
@@ -555,9 +548,9 @@ def _product_state(codes: Sequence[int]) -> StateVector:
 
 def run_completeness_amplification(cfg: ExperimentConfig) -> ExperimentOutcome:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    base = hsmini.HsMiniScheme(hsmini.make_bundle(cfg.n, rng))
+    base = hsmini.HsMiniScheme(hsmini.OracleBundle(cfg.n, rng))
     noisy = money.ArtificiallyNoisyScheme(base, extra_reject=cfg.eps)
-    composite = money.amplify_completeness(noisy, cfg.k, cfg.eta)
+    composite = money.CompositeScheme(noisy, cfg.k, cfg.eta)
     note = composite.bank(rng)
     rejects = sum(not composite.verify(note, rng) for _ in range(cfg.trials))
     error = rejects / cfg.trials
@@ -630,9 +623,9 @@ def run_completeness_amplification(cfg: ExperimentConfig) -> ExperimentOutcome:
 
 def run_money_end_to_end(cfg: ExperimentConfig) -> ExperimentOutcome:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    mini = hsmini.HsMiniScheme(hsmini.make_bundle(cfg.n, rng))
+    mini = hsmini.HsMiniScheme(hsmini.OracleBundle(cfg.n, rng))
     height = max(2, math.ceil(math.log2(max(2, cfg.trials))))
-    scheme = money.standard_construction(mini, money.LamportMerkleSigner(tree_height=height))
+    scheme = money.ComposedScheme(mini, money.LamportMerkleSigner(tree_height=height))
     sk, pk = scheme.keygen(rng)
     honest_accepts = 0
     serial_forgery_rejects = 0

@@ -151,7 +151,7 @@ class Subspace:
 
     @classmethod
     def deserialize(cls, text: str) -> "Subspace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
         header = lines[0].split()
         if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("dim="):
             raise ValueError(f"bad subspace header {lines[0]!r}")

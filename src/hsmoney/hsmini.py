@@ -54,10 +54,8 @@ class OracleBundle:
     """Lazily populated random banknote world over F_2^n, n even."""
 
     def __init__(self, n: int, rng: np.random.Generator):
-        if n % 2:
-            raise ValueError("ambient dimension must be even")
-        if n > config.qubit_cap():
-            raise ValueError("ambient dimension exceeds the simulator cap")
+        if n % 2 or not 2 <= n <= config.qubit_cap():
+            raise ValueError(f"ambient dimension {n} must be even and in [2, {config.qubit_cap()}]")
         self.n = n
         self._rng = rng
         self._by_r: Dict[int, BundleEntry] = {}
@@ -142,21 +140,34 @@ class OracleBundle:
 
     @classmethod
     def import_json(cls, text: str, rng: np.random.Generator) -> "OracleBundle":
+        """Rebuild a bundle from `export_json` text, checking every field;
+        a malformed snapshot raises ValueError."""
         data = json.loads(text)
-        bundle = cls(int(data["n"]), rng)
-        for r_s, entry in data["entries"].items():
-            r = int(r_s)
-            serial = bytes.fromhex(entry["serial"])
-            rows = [int(row[::-1], 2) for row in entry["basis"]]
-            sub = Subspace.from_rows(rows, bundle.n)
-            be = BundleEntry(r, serial, sub)
-            bundle._by_r[r] = be
-            bundle._by_serial[serial] = be
+        if not (isinstance(data, dict) and type(data.get("n")) is int
+                and isinstance(data.get("entries"), dict)):
+            raise ValueError("bundle snapshot must be an object with an integer n and an entries object")
+        bundle = cls(data["n"], rng)
+        n = bundle.n
+        for key, entry in data["entries"].items():
+            r = int(key) if key.isascii() and key.isdigit() else None
+            if r is None or str(r) != key or r >= 1 << n:
+                raise ValueError(f"bundle entry key {key!r} is not an integer in [0, 2^{n})")
+            entry = entry if isinstance(entry, dict) else {}
+            hex_serial, rows = entry.get("serial"), entry.get("basis")
+            serial = bytes.fromhex(hex_serial) if isinstance(hex_serial, str) else b""
+            if len(serial) != _serial_nbytes(n):
+                raise ValueError(f"bundle entry {r}: serial must be {_serial_nbytes(n)} bytes of hex")
+            if serial in bundle._by_serial:
+                raise ValueError(f"bundle entry {r}: serial {serial.hex()} is shared with another entry")
+            if not isinstance(rows, list) or not all(
+                isinstance(row, str) and len(row) == n and set(row) <= {"0", "1"} for row in rows
+            ):
+                raise ValueError(f"bundle entry {r}: basis rows must be {n} characters 0 or 1")
+            sub = Subspace.from_rows([int(row[::-1], 2) for row in rows], n)
+            if sub.dim != n // 2:
+                raise ValueError(f"bundle entry {r}: basis spans dimension {sub.dim}, not {n // 2}")
+            bundle._by_r[r] = bundle._by_serial[serial] = BundleEntry(r, serial, sub)
         return bundle
-
-
-def make_bundle(n: int, rng: np.random.Generator) -> OracleBundle:
-    return OracleBundle(n, rng)
 
 
 def bank(bundle: OracleBundle, rng: np.random.Generator) -> Banknote:

@@ -1,6 +1,6 @@
-"""Money-scheme framework: mini-scheme and signature interfaces, the double
-verifier and money counter, the serial-signing composition into a full
-public-key scheme, and threshold-repetition completeness amplification.
+"""Money-scheme framework: the mini-scheme interface, the double verifier and
+money counter, Lamport-Merkle signatures, the serial-signing composition into
+a full public-key scheme, and threshold-repetition completeness amplification.
 
 Serial numbers are opaque bytes; nothing here parses them. Verification of
 multiple (possibly entangled) registers is sequential in index order.
@@ -101,19 +101,6 @@ def verify2_post(
     return ok1 and ok2, StateVector._wrap(joint.n_qubits, amps)
 
 
-class SignatureScheme:
-    """Classical signature interface: keygen / sign / sverify."""
-
-    def keygen(self, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def sign(self, sk, message: bytes) -> bytes:
-        raise NotImplementedError
-
-    def sverify(self, pk, message: bytes, signature: bytes) -> bool:
-        raise NotImplementedError
-
-
 def _h(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
@@ -127,14 +114,14 @@ MAX_MESSAGE_BYTES = 1 << 20
 class _LamportPrivateKey:
     master: bytes
     height: int
+    levels: List[List[bytes]]  # Merkle levels, leaves first
     next_leaf: int = 0
-    levels: Optional[List[List[bytes]]] = None  # cached Merkle levels
 
     def leaf_count(self) -> int:
         return 1 << self.height
 
 
-class LamportMerkleSigner(SignatureScheme):
+class LamportMerkleSigner:
     """Hash-based one-time signatures under a Merkle index tree.
 
     Messages are hashed to 256 bits and signed with a fresh Lamport leaf;
@@ -187,12 +174,9 @@ class LamportMerkleSigner(SignatureScheme):
         reveals = [self._secret(sk.master, leaf, j, bits[j]) for j in range(_MSG_BITS)]
         zeros, ones = self._leaf_pk_halves(sk.master, leaf)
         complements = [ones[j] if bits[j] == 0 else zeros[j] for j in range(_MSG_BITS)]
-        if sk.levels is None:
-            sk.levels = self._tree_levels(sk.master)
-        levels = sk.levels
         path = []
         idx = leaf
-        for level in levels[:-1]:
+        for level in sk.levels[:-1]:
             path.append(level[idx ^ 1])
             idx >>= 1
         blob = leaf.to_bytes(4, "big") + b"".join(reveals) + b"".join(complements) + b"".join(path)
@@ -261,26 +245,11 @@ def note_from_wire(text: str) -> Tuple[bytes, Optional[bytes], StateVector]:
     return serial, signature, state
 
 
-class MoneyScheme:
-    """Full public-key scheme: keygen / bank / verify."""
+class ComposedScheme:
+    """The standard construction of a full public-key scheme: a mini-scheme
+    plus a signature on the serial number. keygen / bank / verify."""
 
-    n: int
-    completeness_error: float = 0.0
-
-    def keygen(self, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def bank(self, sk, rng: np.random.Generator) -> MoneyNote:
-        raise NotImplementedError
-
-    def verify(self, pk, note: MoneyNote, rng: np.random.Generator) -> bool:
-        raise NotImplementedError
-
-
-class ComposedScheme(MoneyScheme):
-    """Mini-scheme plus a signature on the serial number."""
-
-    def __init__(self, mini: MiniScheme, signer: SignatureScheme):
+    def __init__(self, mini: MiniScheme, signer: LamportMerkleSigner):
         self.mini = mini
         self.signer = signer
         self.n = mini.n
@@ -311,12 +280,8 @@ class ComposedScheme(MoneyScheme):
         return sig_ok and mini_ok, post
 
 
-def standard_construction(mini: MiniScheme, signer: SignatureScheme) -> ComposedScheme:
-    return ComposedScheme(mini, signer)
-
-
 def count_notes(
-    scheme: MoneyScheme, pk, notes: Sequence[MoneyNote], rng: np.random.Generator
+    scheme: ComposedScheme, pk, notes: Sequence[MoneyNote], rng: np.random.Generator
 ) -> int:
     """Money counter: sequential verification, one count per accept."""
     total = 0
@@ -452,10 +417,6 @@ class CompositeScheme:
         a = CompositeNote(tuple(serials), tuple(sigma))
         b = CompositeNote(tuple(serials), tuple(xi))
         return self.verify(a, rng) and self.verify(b, rng)
-
-
-def amplify_completeness(base: MiniScheme, k: int, eta: float) -> CompositeScheme:
-    return CompositeScheme(base, k, eta)
 
 
 CompositeCounterfeiter = Callable[

@@ -130,10 +130,6 @@ class MultilinearPoly:
         return MultilinearPoly.from_masks(self.n_vars, self.degree_bound, np.flatnonzero(coeffs))
 
 
-def change_basis(p: MultilinearPoly, L: LinMap) -> MultilinearPoly:
-    return p.change_basis(L)
-
-
 def _vanishing_coeff_batch(
     a: Subspace, d: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -175,7 +171,6 @@ class PolySystem:
     n_vars: int
     degree_bound: int
     eps: float
-    hidden_dim: int
     coeffs: np.ndarray  # (m, 2^n) uint8 ANF rows
     noise_positions: Optional[Tuple[int, ...]] = None  # sampler diagnostic
 
@@ -232,7 +227,7 @@ class PolySystem:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def deserialize(cls, text: str, hidden_dim: Optional[int] = None) -> "PolySystem":
+    def deserialize(cls, text: str) -> "PolySystem":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         head = dict(part.split("=", 1) for part in lines[0].split()) if lines else {}
         if not {"n", "d", "m", "eps"} <= head.keys():
@@ -259,7 +254,7 @@ class PolySystem:
                             raise ValueError(f"bad monomial token {tok!r}")
                         mask |= 1 << int(tok[1:])
                     coeffs[i, mask] ^= 1
-        return cls(n, d, eps, hidden_dim if hidden_dim is not None else n // 2, coeffs)
+        return cls(n, d, eps, coeffs)
 
 
 def sample_noisy_system(
@@ -269,6 +264,8 @@ def sample_noisy_system(
     dimension) at uniformly shuffled positions; the rest vanish on the input."""
     if not 0 <= eps < 1:
         raise ValueError("noise rate must lie in [0, 1)")
+    if a.n > config.qubit_cap():
+        raise ValueError(f"{a.n} variables exceed the cap {config.qubit_cap()}")
     n_noisy = math.floor(eps * m + 1e-9)
     order = rng.permutation(m)
     noisy_positions = tuple(int(i) for i in order[:n_noisy])
@@ -279,7 +276,7 @@ def sample_noisy_system(
     for pos in noisy_positions:
         decoy = random_subspace(a.n, a.dim, rng)
         coeffs[pos] = _vanishing_coeff_batch(decoy, d, 1, rng)[0]
-    return PolySystem(a.n, d, eps, a.dim, coeffs, noise_positions=noisy_positions)
+    return PolySystem(a.n, d, eps, coeffs, noise_positions=noisy_positions)
 
 
 def _warn_if_degenerate(sys: PolySystem) -> None:
@@ -433,22 +430,18 @@ def harvest_subspace_elements(
     note: ExplicitNote,
     counterfeiter: Callable[[ExplicitNote, np.random.Generator], StateVector],
     rng: np.random.Generator,
-    amplify_delta: float = 0.05,
-    claimed_pass: float = 0.5,
-    max_rounds: int = 200,
 ) -> Tuple[List[int], int]:
-    """One reduction pass: counterfeit, amplify, verify twice, measure both
-    registers in the standard basis. Returns measured vectors (empty when
-    verification failed) and the number of amplification rounds used."""
+    """One reduction pass: counterfeit, amplify (claimed pass rate 1/2,
+    delta 0.05), verify twice, measure both registers in the standard basis.
+    Returns measured vectors (empty when verification failed) and the number
+    of amplification rounds used."""
     n = note.primal_system.n_vars
     z_sub = zset_subspace(note.primal_system)
     if z_sub is None:
         return [], 0
     target = subspace_state(z_sub)
     doubled = counterfeiter(note, rng)
-    amped, rounds = amplify_counterfeiter_state(
-        doubled, target, claimed_pass, amplify_delta, rng, max_rounds=max_rounds
-    )
+    amped, rounds = amplify_counterfeiter_state(doubled, target, 0.5, 0.05, rng)
     goal = target.tensor(target)
     ok, post, _ = measure_projector(Projector.onto_state(goal), amped, rng)
     if not ok:

@@ -54,6 +54,8 @@ class NaiveBank:
     post-measurement qubits back, accepted or not."""
 
     def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("a note needs at least one qubit")
         self.n = n
         self._records: Dict[bytes, Tuple[int, ...]] = {}
         self.verify_queries = 0
@@ -149,27 +151,24 @@ def _cloner_score(v: np.ndarray, ancilla: int) -> float:
 class ClonerSearchResult:
     value: float
     isometry: np.ndarray
-    ancilla_dim: int
     restarts_used: int
 
 
-def optimize_cloning_channel(
-    rng: np.random.Generator,
-    restarts: int = config.CLONER_RESTARTS,
-    ancilla_dim: int = 2,
-    stop_at: float = 0.7499,
-) -> ClonerSearchResult:
-    """Derivative-free search over isometries C^2 -> C^2 x C^2 x C^ancilla
-    maximizing the average both-copies-pass probability on the four states.
+def optimize_cloning_channel(rng: np.random.Generator) -> ClonerSearchResult:
+    """Derivative-free search over isometries C^2 -> C^2 x C^2 x C^2 (two
+    copies and a qubit ancilla) maximizing the average both-copies-pass
+    probability on the four states.
 
-    This is an experiment, not a guarantee; the search restarts from random
-    points and stops early once the known ceiling is essentially reached.
+    This is an experiment, not a guarantee; the search makes up to
+    config.CLONER_RESTARTS restarts from random points and stops early once
+    the known ceiling 3/4 is essentially reached (0.7499).
     """
+    ancilla_dim = 2
     out_dim = 4 * ancilla_dim
     best_val = -1.0
     best_v = None
     used = 0
-    for _ in range(max(1, restarts)):
+    for _ in range(config.CLONER_RESTARTS):
         used += 1
         x0 = rng.normal(size=out_dim * 4)
         res = minimize(
@@ -181,9 +180,9 @@ def optimize_cloning_channel(
         if -res.fun > best_val:
             best_val = -res.fun
             best_v = _isometry_from_params(res.x, out_dim)
-        if best_val >= stop_at:
+        if best_val >= 0.7499:
             break
-    return ClonerSearchResult(best_val, best_v, ancilla_dim, used)
+    return ClonerSearchResult(best_val, best_v, used)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +203,8 @@ class AdaptiveAttackResult:
 def adaptive_attack(
     bank: NaiveBank,
     note: WiesnerNote,
-    samples_per_candidate: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    samples_per_candidate: Optional[int],
+    rng: np.random.Generator,
 ) -> AdaptiveAttackResult:
     """Recover the note qubit by qubit by swapping in candidate states.
 
@@ -213,9 +212,8 @@ def adaptive_attack(
     fresh |b> in slot i (keeping the original qubit aside) and estimates the
     acceptance rate; the bank measures the other qubits in their correct
     bases, so they come back undamaged and the same note serves every query.
+    None samples per candidate means default_samples_per_candidate(n).
     """
-    if rng is None:
-        raise ValueError("a generator is required")
     n = bank.n
     samples = samples_per_candidate or default_samples_per_candidate(n)
     before = bank.verify_queries
@@ -338,8 +336,8 @@ def transplanted_adaptive_attack(
     bank: KeyedSubspaceBank,
     serial: bytes,
     state: StateVector,
-    samples_per_candidate: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    samples_per_candidate: Optional[int],
+    rng: np.random.Generator,
 ) -> AdaptiveAttackResult:
     """The swap-out attack run verbatim against the keyed-subspace scheme.
 
@@ -348,8 +346,6 @@ def transplanted_adaptive_attack(
     Projective verification collapses the whole register on every rejection,
     so candidate pass rates carry no per-qubit signal.
     """
-    if rng is None:
-        raise ValueError("a generator is required")
     n = bank.n
     samples = samples_per_candidate or default_samples_per_candidate(n)
     before = bank.verify_queries

@@ -74,9 +74,10 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def dump(self, threshold: float = 1e-12) -> str:
+    def dump(self) -> str:
+        """Header `n=<qubits>`, then `index real imag` per amplitude above 1e-12."""
         lines = [f"n={self.n_qubits}"]
-        for idx in np.flatnonzero(np.abs(self.amps) > threshold):
+        for idx in np.flatnonzero(np.abs(self.amps) > 1e-12):
             a = self.amps[idx]
             lines.append(f"{idx} {float(a.real)!r} {float(a.imag)!r}")
         return "\n".join(lines) + "\n"

@@ -67,16 +67,13 @@ class SearchParams:
 
     eps is the promised lower bound on the initial goal fidelity; the
     schedule uses xi = arcsin(eps), never the true overlap. The derived
-    values are L = ceil(l_numerator / xi) and
-    R = ceil(r_factor / delta^2 * (2 + ln(1/delta)) / calib_c).
+    values are L = ceil(HYBRID_L_NUMERATOR / xi) and
+    R = ceil(HYBRID_R_FACTOR / delta^2 * (2 + ln(1/delta)) / FIXED_POINT_RATE),
+    with the constants from config.
     """
 
     eps: float
     delta: float
-    calib_c: float = config.FIXED_POINT_RATE
-    l_numerator: float = config.HYBRID_L_NUMERATOR
-    r_factor: float = config.HYBRID_R_FACTOR
-    theta: Optional[float] = None  # arcsin of the true overlap, diagnostics only
     xi: float = field(init=False)
     L: int = field(init=False)
     R: int = field(init=False)
@@ -87,8 +84,11 @@ class SearchParams:
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         self.xi = math.asin(self.eps)
-        self.L = math.ceil(self.l_numerator / self.xi)
-        self.R = math.ceil(self.r_factor / self.delta ** 2 * (2 + math.log(1 / self.delta)) / self.calib_c)
+        self.L = math.ceil(config.HYBRID_L_NUMERATOR / self.xi)
+        self.R = math.ceil(
+            config.HYBRID_R_FACTOR / self.delta ** 2 * (2 + math.log(1 / self.delta))
+            / config.FIXED_POINT_RATE
+        )
 
 
 def amplitude_amplify(p: SearchProblem, T: int) -> StateVector:

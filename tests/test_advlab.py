@@ -97,7 +97,7 @@ def test_planted_cloner_pass_rate_exact():
 
 def test_amplify_planted_cloner():
     rng = np.random.default_rng(136)
-    bundle = hsmini.make_bundle(8, rng)
+    bundle = hsmini.OracleBundle(8, rng)
     scheme = hsmini.HsMiniScheme(bundle)
     passes = 0
     queries = []
@@ -115,7 +115,7 @@ def test_amplify_planted_cloner():
 def test_amplify_never_decreases_pass_rate():
     # with zero rounds the pass rate is eps; amplification only helps
     rng = np.random.default_rng(137)
-    bundle = hsmini.make_bundle(6, rng)
+    bundle = hsmini.OracleBundle(6, rng)
     scheme = hsmini.HsMiniScheme(bundle)
     raw = 0
     amped = 0
@@ -135,7 +135,7 @@ def test_amplify_never_decreases_pass_rate():
 
 def test_amplify_perfect_cloner_trivial():
     rng = np.random.default_rng(138)
-    bundle = hsmini.make_bundle(6, rng)
+    bundle = hsmini.OracleBundle(6, rng)
     scheme = hsmini.HsMiniScheme(bundle)
     note = scheme.bank(rng)
     c = PlantedCloner(scheme.target_state(note.serial), 1.0)
@@ -147,7 +147,7 @@ def test_amplify_perfect_cloner_trivial():
 def test_amplify_hybrid_regime():
     # a weak cloner with delta >= 2 sqrt(eps) takes the hybrid schedule
     rng = np.random.default_rng(146)
-    bundle = hsmini.make_bundle(6, rng)
+    bundle = hsmini.OracleBundle(6, rng)
     scheme = hsmini.HsMiniScheme(bundle)
     eps, delta = 0.01, 0.5
     passes = 0
@@ -164,7 +164,7 @@ def test_amplify_hybrid_regime():
 
 def test_amplify_junk_emitter_flagged():
     rng = np.random.default_rng(139)
-    bundle = hsmini.make_bundle(6, rng)
+    bundle = hsmini.OracleBundle(6, rng)
     scheme = hsmini.HsMiniScheme(bundle)
     note = scheme.bank(rng)
     c = JunkEmitter(scheme.target_state(note.serial))

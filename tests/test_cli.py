@@ -166,3 +166,66 @@ def test_verify_explicit_rejects_malformed_note(tmp_path, capsys, suffix, text):
     assert main(["verify-explicit", "--note", prefix]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _set(data, path, value):
+    # replace the field at a path of keys; returns the whole snapshot
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda d: [], id="not an object"),
+        pytest.param(lambda d: {"n": "8", "entries": d["entries"]}, id="n not an integer"),
+        pytest.param(lambda d: {"n": 8, "entries": []}, id="entries not an object"),
+        pytest.param(lambda d: _set(d, ["entries", "999"], d["entries"].pop("1")), id="r beyond 2^n"),
+        pytest.param(lambda d: _set(d, ["entries", "x"], d["entries"].pop("1")), id="r not an integer"),
+        pytest.param(lambda d: _set(d, ["entries", "0", "serial"], "0a"), id="serial of the wrong length"),
+        pytest.param(lambda d: _set(d, ["entries", "0", "serial"], "zz" * 3), id="serial not hex"),
+        pytest.param(lambda d: _set(d, ["entries", "1", "serial"], d["entries"]["0"]["serial"]), id="shared serial"),
+        pytest.param(lambda d: _set(d, ["entries", "0", "basis", 0], "1"), id="one-character row"),
+        pytest.param(lambda d: _set(d, ["entries", "0", "basis", 0], "1020" * 2), id="row not 0/1"),
+        pytest.param(lambda d: _set(d, ["entries", "0", "basis"], d["entries"]["0"]["basis"][:1]), id="dimension 1"),
+        pytest.param(lambda d: _set(d, ["entries", "0"], None), id="entry not an object"),
+    ],
+)
+def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
+    snap = tmp_path / "bundle.json"
+    assert main(["bundle", "export", "--n", "8", "--seed", "4", "--touch", "2",
+                 "--out", str(snap)]) == EXIT_OK
+    snap.write_text(json.dumps(mutate(json.loads(snap.read_text()))))
+    capsys.readouterr()
+    assert main(["bundle", "import", "--snapshot", str(snap)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wiesner", "attack-adaptive", "--n", "1"],
+        ["wiesner", "mint", "--n", "0"],
+        ["wiesner", "verify", "--n", "0"],
+        ["wiesner", "verify", "--trials", "0"],
+        ["keyed", "verify", "--n", "3"],
+        ["keyed", "verify", "--n", "8", "--trials", "-1"],
+        ["bundle", "export", "--n", "3", "--out", "unused.json"],
+        ["bundle", "export", "--n", "22", "--out", "unused.json"],
+        ["attack-d1", "--n", "0"],
+        ["attack-d1", "--n", "22"],  # beyond the qubit cap, below the GF(2) cap
+        ["mint-explicit", "--n", "22", "--out", "unused"],
+        ["run", "attack-d1", "--trials", "2", "--workers", "1", "--out", "no/such/dir/r.jsonl"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_sizes_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "unused.json").exists()

@@ -255,3 +255,5 @@ def test_serialization_rejects_garbage():
         Subspace.deserialize("n=4 dim=2\n0000\n")
     with pytest.raises(ValueError):
         Subspace.deserialize("hello\n")
+    with pytest.raises(ValueError):
+        Subspace.deserialize("")

@@ -13,7 +13,7 @@ from hsmoney.qsim import StateVector, subspace_state
 @pytest.fixture
 def bundle():
     rng = np.random.default_rng(70)
-    return hsmini.make_bundle(8, rng), rng
+    return hsmini.OracleBundle(8, rng), rng
 
 
 def test_generator_memoized(bundle):
@@ -122,7 +122,7 @@ def test_verify_neighbor_quarter_rate(bundle):
 
 def test_verifier_matrix_equality_n6():
     rng = np.random.default_rng(71)
-    b = hsmini.make_bundle(6, rng)
+    b = hsmini.OracleBundle(6, rng)
     note = hsmini.bank(b, rng)
     circuit = hsmini.verifier_circuit_matrix(b, note.serial)
     rank1 = hsmini.verifier_as_projector(b, note.serial).matrix()

@@ -10,16 +10,16 @@ import pytest
 from hsmoney import f2lin, hsmini, money, qsim
 from hsmoney.money import (
     ArtificiallyNoisyScheme,
+    ComposedScheme,
     CompositeNote,
+    CompositeScheme,
     KeyExhaustionError,
     LamportMerkleSigner,
     MalformedSignatureError,
     MoneyNote,
     WrappedAsMini,
-    amplify_completeness,
     composite_reduction_attempt,
     count_notes,
-    standard_construction,
     verify2,
     verify2_post,
 )
@@ -29,7 +29,7 @@ from hsmoney.qsim import StateVector, subspace_state
 @pytest.fixture
 def scheme():
     rng = np.random.default_rng(60)
-    bundle = hsmini.make_bundle(8, rng)
+    bundle = hsmini.OracleBundle(8, rng)
     return hsmini.HsMiniScheme(bundle), rng
 
 
@@ -141,7 +141,7 @@ def test_lamport_signature_not_valid_for_other_message():
 def test_standard_construction_end_to_end(scheme):
     m, rng = scheme
     signer = LamportMerkleSigner(tree_height=4)
-    s = standard_construction(m, signer)
+    s = ComposedScheme(m, signer)
     sk, pk = s.keygen(rng)
     note = s.bank(sk, rng)
     assert s.verify(pk, note, rng)
@@ -165,7 +165,7 @@ def test_standard_construction_end_to_end(scheme):
 def test_count_notes(scheme):
     m, rng = scheme
     signer = LamportMerkleSigner(tree_height=4)
-    s = standard_construction(m, signer)
+    s = ComposedScheme(m, signer)
     sk, pk = s.keygen(rng)
     notes = [s.bank(sk, rng) for _ in range(5)]
     assert count_notes(s, pk, notes, rng) == 5
@@ -182,7 +182,7 @@ def _orthogonal_junk(m, note):
 
 def test_wrapped_money_scheme_as_mini(scheme):
     m, rng = scheme
-    s = standard_construction(m, LamportMerkleSigner(tree_height=2))
+    s = ComposedScheme(m, LamportMerkleSigner(tree_height=2))
     wrapper = WrappedAsMini(s)
     note = wrapper.bank(rng)
     for _ in range(10):
@@ -204,17 +204,17 @@ def test_noisy_wrapper_completeness_rate(scheme):
 def test_composite_scheme_parameters(scheme):
     m, _ = scheme
     noisy = ArtificiallyNoisyScheme(m, extra_reject=0.2)
-    comp = amplify_completeness(noisy, k=60, eta=0.1)
+    comp = CompositeScheme(noisy, k=60, eta=0.1)
     assert comp.threshold == 42
     with pytest.raises(ValueError):
-        amplify_completeness(noisy, k=10, eta=0.31)
+        CompositeScheme(noisy, k=10, eta=0.31)
     with pytest.raises(ValueError):
-        amplify_completeness(noisy, k=0, eta=0.1)
+        CompositeScheme(noisy, k=0, eta=0.1)
 
 
 def test_composite_k1_small_eta_behaves_as_base(scheme):
     m, rng = scheme
-    comp = amplify_completeness(m, k=1, eta=1e-6)
+    comp = CompositeScheme(m, k=1, eta=1e-6)
     assert comp.threshold == 1
     note = comp.bank(rng)
     assert comp.verify(note, rng)
@@ -223,7 +223,7 @@ def test_composite_k1_small_eta_behaves_as_base(scheme):
 def test_composite_completeness_beats_chernoff(scheme):
     m, rng = scheme
     noisy = ArtificiallyNoisyScheme(m, extra_reject=0.2)
-    comp = amplify_completeness(noisy, k=40, eta=0.1)
+    comp = CompositeScheme(noisy, k=40, eta=0.1)
     bound = math.exp(-2 * 40 * 0.01)  # 0.449
     trials = 400
     note = comp.bank(rng)
@@ -237,25 +237,25 @@ def test_composite_exact_completeness_error(scheme):
     eps = noisy.completeness_error
     # brute force over every accept/reject pattern of the k sub-verifications
     for k, eta in [(3, 0.1), (4, 0.1), (3, 0.25), (4, 0.25)]:
-        comp = amplify_completeness(noisy, k=k, eta=eta)
+        comp = CompositeScheme(noisy, k=k, eta=eta)
         brute = 0.0
         for pattern in itertools.product((True, False), repeat=k):
             if sum(pattern) < comp.threshold:
                 brute += math.prod((1 - eps) if a else eps for a in pattern)
         assert comp.exact_completeness_error() == pytest.approx(brute, rel=1e-12)
-    assert amplify_completeness(noisy, k=60, eta=0.1).exact_completeness_error() == (
+    assert CompositeScheme(noisy, k=60, eta=0.1).exact_completeness_error() == (
         pytest.approx(0.022068, abs=1e-6)
     )
     for k in (1, 5, 20, 60, 100):
         for eta in (0.05, 0.1, 0.2, 0.29):
-            comp = amplify_completeness(noisy, k=k, eta=eta)
+            comp = CompositeScheme(noisy, k=k, eta=eta)
             assert comp.exact_completeness_error() <= comp.completeness_error_bound
 
 
 def test_note_wire_format_roundtrip(tmp_path, scheme):
     m, rng = scheme
     signer = LamportMerkleSigner(tree_height=2)
-    s = standard_construction(m, signer)
+    s = ComposedScheme(m, signer)
     sk, pk = s.keygen(rng)
     note = s.bank(sk, rng)
     state_path = str(tmp_path / "note.state")
@@ -275,7 +275,7 @@ def test_note_wire_format_roundtrip(tmp_path, scheme):
 def test_composite_reduction_attempt_shapes(scheme):
     m, rng = scheme
     noisy = ArtificiallyNoisyScheme(m, extra_reject=0.2)
-    comp = amplify_completeness(noisy, k=8, eta=0.1)
+    comp = CompositeScheme(noisy, k=8, eta=0.1)
 
     def cheat_counterfeiter(note: CompositeNote, rng):
         # clones every slot using the bundle's secret (test fixture)

@@ -127,7 +127,7 @@ def test_default_samples_budget():
 
 def test_optimized_cloner_reaches_three_quarters():
     rng = np.random.default_rng(117)
-    res = privkey.optimize_cloning_channel(rng, restarts=20)
+    res = privkey.optimize_cloning_channel(rng)
     assert abs(res.value - 0.75) <= 0.01
     # isometry columns orthonormal
     v = res.isometry

@@ -143,10 +143,10 @@ def test_hybrid_query_accounting_consistency():
 
 
 def test_search_params_schedule_values():
-    sp = SearchParams(eps=0.05, delta=0.2, calib_c=1.0)
+    sp = SearchParams(eps=0.05, delta=0.2)
     assert sp.xi == pytest.approx(math.asin(0.05))
     assert sp.L == math.ceil(100 / math.asin(0.05))
-    assert sp.R == math.ceil(25 / 0.04 * (2 + math.log(5)))
+    assert sp.R == math.ceil(25 / 0.04 * (2 + math.log(5)) / 0.8)
 
 
 def test_count_near_lattice_examples():
