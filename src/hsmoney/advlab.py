@@ -411,7 +411,7 @@ def amplify_counterfeiter(
     if delta >= 2 * eps_fid:
         return _amplify_hybrid(c, init, goal_state, eps_fid, delta, rng)
     rounds_budget = max(1, math.ceil(math.log(1 / delta) / (config.FIXED_POINT_RATE * eps_fid ** 2)))
-    s, rounds, converged = measure_restore(goal, Projector.onto_state(init), init, rounds_budget, rng)
+    s, rounds, converged = measure_restore(goal, init, rounds_budget, rng)
     restores = rounds - converged
     c.charge(2 * restores)  # one forward and one inverse call per restore
     ver_queries = 2 * rounds + restores
@@ -463,7 +463,7 @@ def amplify_counterfeiter_state(
     budget = min(
         200, max(1, math.ceil(math.log(1 / delta) / (config.FIXED_POINT_RATE * eps_fid ** 2)))
     )
-    s, rounds, _ = measure_restore(goal, Projector.onto_state(doubled), doubled, budget, rng)
+    s, rounds, _ = measure_restore(goal, doubled, budget, rng)
     return s, rounds
 
 

@@ -266,6 +266,11 @@ def sample_noisy_system(
         raise ValueError("noise rate must lie in [0, 1)")
     if a.n > config.qubit_cap():
         raise ValueError(f"{a.n} variables exceed the cap {config.qubit_cap()}")
+    if m << a.n > 1 << config.F2_DIM_CAP:
+        # the coefficient table holds one byte per (row, point)
+        raise ValueError(
+            f"{m} rows over 2^{a.n} points exceed the table cap 2^{config.F2_DIM_CAP}"
+        )
     n_noisy = math.floor(eps * m + 1e-9)
     order = rng.permutation(m)
     noisy_positions = tuple(int(i) for i in order[:n_noisy])

@@ -7,6 +7,15 @@ restore it (the complementary branch re-enters the loop and is re-amplified
 by the next goal measurement). Expected goal fidelity after T rounds is
 >= 1 - exp(-c T eps^2) with the calibrated rate c from config, and is
 monotone in T because a goal acceptance ends the loop inside the goal space.
+
+Every loop runs in the two-dimensional picture of the analysis. The goal is
+a projector P and every restoration is rank-1 onto the start state psi, so
+the state never leaves span{P psi, (I - P) psi}. `_Plane` splits psi once
+(one dense pass) into the orthonormal directions g = P psi / |P psi| and
+r = (I - P) psi / |(I - P) psi|; Grover steps and measure/restore rounds
+then act on the two real coefficients of g and r, and the output
+`StateVector` is built once at the end. The oracles are charged, and
+`rng.random()` is drawn, exactly as a dense simulation would do.
 """
 
 from __future__ import annotations
@@ -31,12 +40,32 @@ Reflection = Union[PhaseOracle, ReflectAboutState]
 
 @dataclass
 class SearchProblem:
-    """Initial state plus counted reflections about it and about the goal."""
+    """Initial state plus counted reflections about it and about the goal.
+
+    The reflections must be I - 2 P for the goal projector P and
+    I - 2 |init><init|, since the search runs them as those maps: the goal
+    projector has to be the goal reflection's own mask (PhaseOracle) or
+    target (ReflectAboutState), and the init reflection's target the initial
+    state itself, both by identity.
+    """
 
     init_state: StateVector
     init_reflection: ReflectAboutState
     goal_reflection: Reflection
     goal_projector: Projector
+
+    def __post_init__(self) -> None:
+        g = self.goal_reflection
+        if isinstance(g, PhaseOracle):
+            same_goal = self.goal_projector.mask is g.mask
+        elif isinstance(g, ReflectAboutState):
+            same_goal = self.goal_projector.target is g.target
+        else:
+            raise ValueError("goal reflection must be a PhaseOracle or a ReflectAboutState")
+        if not same_goal:
+            raise ValueError("goal projector must be the goal reflection's own mask or target")
+        if self.init_reflection.target is not self.init_state:
+            raise ValueError("init reflection must reflect about the initial state")
 
     @classmethod
     def with_oracle_goal(cls, init_state: StateVector, goal: PhaseOracle) -> "SearchProblem":
@@ -91,46 +120,93 @@ class SearchParams:
         )
 
 
+class _Plane:
+    """A start state psi split once against a goal projector P:
+    psi = a g + b r with g = P psi / a, r = (I - P) psi / b and a, b >= 0.
+    A state alpha g + beta r of the plane is held as its coefficients."""
+
+    def __init__(self, goal: Projector, start: StateVector):
+        self.n_qubits = start.n_qubits
+        self.kept = goal.project(start.amps)
+        self.rest = start.amps - self.kept
+        self.a = float(np.linalg.norm(self.kept))
+        self.b = float(np.linalg.norm(self.rest))
+
+    def state(self, alpha: float, beta: float) -> StateVector:
+        """alpha g + beta r; a part of zero norm is all zeros and adds nothing."""
+        amps = (alpha / self.a if self.a > 0 else 0.0) * self.kept
+        amps += (beta / self.b if self.b > 0 else 0.0) * self.rest
+        return StateVector._wrap(self.n_qubits, amps)
+
+
+def _measure_in_plane(
+    charge_to, alpha: float, beta: float, k_alpha: float, k_beta: float, rng: np.random.Generator
+) -> Tuple[bool, float, float]:
+    """`measure_projector` on plane coefficients: (k_alpha, k_beta) is the
+    projected part of (alpha, beta). Same charge, draw, comparison and
+    zero-probability error as the dense measurement."""
+    if charge_to is not None:
+        charge_to.charge()
+    prob = min(max(k_alpha * k_alpha + k_beta * k_beta, 0.0), 1.0)
+    if rng.random() < prob:
+        norm = math.sqrt(prob)
+        return True, k_alpha / norm, k_beta / norm
+    r_alpha, r_beta = alpha - k_alpha, beta - k_beta
+    rnorm = math.hypot(r_alpha, r_beta)
+    if rnorm < 1e-15:
+        raise ValueError("zero-probability branch requested deterministically")
+    return False, r_alpha / rnorm, r_beta / rnorm
+
+
 def amplitude_amplify(p: SearchProblem, T: int) -> StateVector:
     """T Grover iterations; goal fidelity becomes |sin((2T+1) theta)|.
 
     Each iteration applies the goal reflection then the init reflection
-    (2 queries); the global sign flip keeps the rotation formula exact.
+    (2 queries) and flips the global sign, a rotation by 2 theta in the
+    plane of the start state, where sin(theta) = |P init|. The T rotations
+    are taken as one, in closed form.
     """
     if T < 0:
         raise ValueError("iteration count must be nonnegative")
-    s = p.init_state
-    for _ in range(T):
-        s = p.goal_reflection.apply(s)
-        s = p.init_reflection.apply(s)
-        s = StateVector._wrap(s.n_qubits, -s.amps)
-    return s
+    p.goal_reflection.charge(T)
+    p.init_reflection.charge(T)
+    if T == 0:
+        return p.init_state
+    plane = _Plane(p.goal_projector, p.init_state)
+    angle = (2 * T + 1) * math.atan2(plane.a, plane.b)
+    return plane.state(math.sin(angle), math.cos(angle))
 
 
 def measure_restore(
     goal: Projector,
-    restore: Projector,
     s: StateVector,
     budget: int,
     rng: np.random.Generator,
+    charge_to=None,
 ) -> Tuple[StateVector, int, bool]:
     """Up to `budget` rounds of measuring the goal, each failure followed by a
-    measurement of the restore projector. Returns the final state, the rounds
-    used and whether the goal accepted; the restores made are rounds - hit."""
+    measurement of the rank-1 projector onto the start state `s`, charged to
+    `charge_to` when given. Returns the final state, the rounds used and
+    whether the goal accepted; the restores made are rounds - hit."""
+    if budget < 1:
+        return s, budget, False
+    plane = _Plane(goal, s)
+    a, b = plane.a, plane.b
+    alpha, beta = a, b
     for rounds in range(1, budget + 1):
-        ok, s, _ = measure_projector(goal, s, rng)
+        ok, alpha, beta = _measure_in_plane(goal.charge_to, alpha, beta, alpha, 0.0, rng)
         if ok:
-            return s, rounds, True
-        _, s, _ = measure_projector(restore, s, rng)
-    return s, budget, False
+            return plane.state(alpha, beta), rounds, True
+        c = a * alpha + b * beta
+        _, alpha, beta = _measure_in_plane(charge_to, alpha, beta, c * a, c * b, rng)
+    return plane.state(alpha, beta), budget, False
 
 
 def fixed_point_search(p: SearchProblem, T: int, rng: np.random.Generator) -> StateVector:
     """Monotone search: T rounds of goal measurement with init restoration."""
     if T < 0:
         raise ValueError("round count must be nonnegative")
-    restore = Projector.onto_state(p.init_state, charge_to=p.init_reflection)
-    s, _, _ = measure_restore(p.goal_projector, restore, p.init_state, T, rng)
+    s, _, _ = measure_restore(p.goal_projector, p.init_state, T, rng, charge_to=p.init_reflection)
     return s
 
 
@@ -159,7 +235,7 @@ def hybrid_search(
         raise ValueError("hybrid schedule requires delta >= 2 * eps")
     T = int(rng.integers(0, params.L + 1))
     phi = amplitude_amplify(p, T)
-    s, rounds, hit = measure_restore(p.goal_projector, Projector.onto_state(phi), phi, params.R, rng)
+    s, rounds, hit = measure_restore(p.goal_projector, phi, params.R, rng)
     p.init_reflection.charge((T + 1) * (rounds - hit))
     if trace is not None:
         trace.update(T=T, rounds=rounds)

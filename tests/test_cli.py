@@ -219,6 +219,9 @@ def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
         ["attack-d1", "--n", "0"],
         ["attack-d1", "--n", "22"],  # beyond the qubit cap, below the GF(2) cap
         ["mint-explicit", "--n", "22", "--out", "unused"],
+        # beta n rows of 2^n coefficient bytes: past the table cap of 2^24
+        ["attack-d1", "--n", "12", "--beta", "100000"],
+        ["mint-explicit", "--n", "12", "--beta", "100000", "--out", "unused"],
         ["run", "attack-d1", "--trials", "2", "--workers", "1", "--out", "no/such/dir/r.jsonl"],
     ],
     ids=" ".join,
