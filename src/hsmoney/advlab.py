@@ -27,6 +27,7 @@ from .qsim import (
     Projector,
     ReflectAboutState,
     StateVector,
+    check_qubits,
     haar_random_state,
     hadamard_all,
     measure_projector,
@@ -89,6 +90,7 @@ class SubspaceNeighborRelation:
 
     def _lifted_state(self, a: Subspace) -> StateVector:
         base = subspace_state(a)
+        check_qubits(a.n + 1)
         amps = np.zeros(1 << (a.n + 1), dtype=np.complex128)
         amps[: 1 << a.n] = base.amps
         return StateVector._wrap(a.n + 1, amps)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -198,7 +197,7 @@ def _cmd_verify_explicit(args) -> int:
 def _cmd_attack_d1(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     a = f2lin.random_subspace(args.n, args.n // 2, rng)
-    m = math.ceil(args.beta * args.n)
+    m = polyhide.system_rows(args.beta, args.n)
     primal = polyhide.sample_noisy_system(a, 1, m, args.eps, rng)
     dual = polyhide.sample_noisy_system(a.dual(), 1, m, args.eps, rng)
     try:

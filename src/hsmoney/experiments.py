@@ -395,7 +395,7 @@ def run_explicit_mint_verify(cfg: ExperimentConfig) -> ExperimentOutcome:
 def trial_attack_d1(cfg: ExperimentConfig, index: int, rng) -> dict:
     n = cfg.n
     a = f2lin.random_subspace(n, n // 2, rng)
-    m = math.ceil(cfg.beta * n)
+    m = polyhide.system_rows(cfg.beta, n)
     primal = polyhide.sample_noisy_system(a, 1, m, cfg.eps, rng)
     dual = polyhide.sample_noisy_system(a.dual(), 1, m, cfg.eps, rng)
     try:

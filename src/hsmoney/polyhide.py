@@ -338,12 +338,19 @@ class ExplicitNote:
     state: StateVector
 
 
+def system_rows(beta: float, n: int) -> int:
+    """m = ceil(beta n) polynomials per system; beta must be finite and > 0."""
+    if not (0 < beta < math.inf):  # NaN fails this comparison too
+        raise ValueError(f"beta must be a finite number above 0, got {beta}")
+    return math.ceil(beta * n)
+
+
 def bank_explicit_with_secret(
     n: int, d: int, eps: float, beta: float, rng: np.random.Generator
 ) -> Tuple[ExplicitNote, Subspace]:
     if n % 2:
         raise ValueError("ambient dimension must be even")
-    m = math.ceil(beta * n)
+    m = system_rows(beta, n)
     a = random_subspace(n, n // 2, rng)
     primal = sample_noisy_system(a, d, m, eps, rng)
     dual = sample_noisy_system(a.dual(), d, m, eps, rng)

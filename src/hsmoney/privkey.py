@@ -315,7 +315,7 @@ def _insert_candidate(state: StateVector, i: int, code: int) -> StateVector:
     n = state.n_qubits
     anc = StateVector(1, BB84_VECTORS[code].copy())
     joint = state.tensor(anc)  # ancilla is qubit n
-    return StateVector._wrap(n + 1, _swap_qubits(joint.amps, n + 1, i, n))
+    return StateVector._wrap(joint.n_qubits, _swap_qubits(joint.amps, n + 1, i, n))
 
 
 def _discard_top_qubit(state: StateVector, rng: np.random.Generator) -> StateVector:
@@ -359,7 +359,7 @@ def transplanted_adaptive_attack(
                 ok, post = bank.verify_note_register(serial, probe, rng)
                 hits += ok
                 restored = _swap_qubits(post.amps, n + 1, i, n)
-                current = _discard_top_qubit(StateVector._wrap(n + 1, restored), rng)
+                current = _discard_top_qubit(StateVector._wrap(post.n_qubits, restored), rng)
             rates[i, b] = hits / samples
     recovered = [int(np.argmax(rates[i])) for i in range(n)]
     return AdaptiveAttackResult(recovered, rates, bank.verify_queries - before)

@@ -4,6 +4,11 @@ Index convention: bit i of a basis-state index is qubit i (little endian),
 matching the F_2^n vector convention in `f2lin`, so a subspace element is
 directly an amplitude index. All operations return new states; amplitudes
 are frozen after construction.
+
+The qubit cap (`config.qubit_cap()`) is checked where a qubit count enters:
+the public constructor, `basis`, `uniform`, `tensor`, `subspace_state`,
+`haar_random_state` and `load`, each before allocating. States derived from
+an existing state (`_wrap`) keep its count and skip the check.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from . import config
 from .f2lin import Subspace
 
 
-def _check_qubits(n: int) -> None:
+def check_qubits(n: int) -> None:
+    """Raise ValueError unless 0 < n <= the qubit cap; call before allocating."""
     cap = config.qubit_cap()
     if not 0 < n <= cap:
         raise ValueError(f"{n} qubits outside (0, {cap}]")
@@ -29,7 +35,8 @@ class StateVector:
     __slots__ = ("n_qubits", "amps")
 
     def __init__(self, n_qubits: int, amps: np.ndarray, _checked: bool = False):
-        _check_qubits(n_qubits)
+        if not _checked:
+            check_qubits(n_qubits)
         amps = np.asarray(amps, dtype=np.complex128)
         if amps.shape != (1 << n_qubits,):
             raise ValueError(f"expected {1 << n_qubits} amplitudes, got {amps.shape}")
@@ -44,17 +51,20 @@ class StateVector:
 
     @classmethod
     def _wrap(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
-        """Internal: adopt an array that is already normalized and owned."""
+        """Internal: adopt an array that is already normalized and owned, for
+        a qubit count already checked against the cap."""
         return cls(n_qubits, amps, _checked=True)
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
+        check_qubits(n_qubits)
         amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         amps[index] = 1.0
         return cls._wrap(n_qubits, amps)
 
     @classmethod
     def uniform(cls, n_qubits: int) -> "StateVector":
+        check_qubits(n_qubits)
         dim = 1 << n_qubits
         return cls._wrap(n_qubits, np.full(dim, dim ** -0.5, dtype=np.complex128))
 
@@ -68,6 +78,7 @@ class StateVector:
 
     def tensor(self, other: "StateVector") -> "StateVector":
         # other's index bits go above self's: index = x_self + 2^n * y_other
+        check_qubits(self.n_qubits + other.n_qubits)
         joint = np.kron(other.amps, self.amps)
         return StateVector._wrap(self.n_qubits + other.n_qubits, joint)
 
@@ -88,7 +99,7 @@ class StateVector:
         if not lines or not lines[0].startswith("n="):
             raise ValueError("bad state dump header")
         n = int(lines[0][2:])
-        _check_qubits(n)
+        check_qubits(n)
         amps = np.zeros(1 << n, dtype=np.complex128)
         seen = set()
         for ln in lines[1:]:
@@ -115,11 +126,16 @@ def subspace_mask(a: Subspace) -> np.ndarray:
 
 def subspace_state(a: Subspace) -> StateVector:
     """Uniform superposition over the 2^dim elements of the subspace."""
-    _check_qubits(a.n)
-    amps = np.zeros(1 << a.n, dtype=np.complex128)
-    members = a.member_array()
+    check_qubits(a.n)
+    return uniform_on(a.n, a.member_array())
+
+
+def uniform_on(n_qubits: int, members: np.ndarray) -> StateVector:
+    """Uniform superposition over the given distinct basis indices; the
+    caller has checked n_qubits against the cap."""
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[members] = len(members) ** -0.5
-    return StateVector._wrap(a.n, amps)
+    return StateVector._wrap(n_qubits, amps)
 
 
 def walsh_hadamard_raw(amps: np.ndarray) -> np.ndarray:
@@ -414,7 +430,7 @@ def fidelity_to_goal(s: StateVector, goal: Projector) -> float:
 
 def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     """Normalized complex-Gaussian vector (Haar-distributed direction)."""
-    _check_qubits(n)
+    check_qubits(n)
     dim = 1 << n
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector._wrap(n, v / np.linalg.norm(v))

@@ -222,6 +222,10 @@ def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
         # beta n rows of 2^n coefficient bytes: past the table cap of 2^24
         ["attack-d1", "--n", "12", "--beta", "100000"],
         ["mint-explicit", "--n", "12", "--beta", "100000", "--out", "unused"],
+        # beta must be finite and above 0, before m = ceil(beta n)
+        *[[cmd, "--n", "8", "--beta", beta, *out]
+          for cmd, out in (("attack-d1", []), ("mint-explicit", ["--out", "unused"]))
+          for beta in ("inf", "nan", "-1", "0")],
         ["run", "attack-d1", "--trials", "2", "--workers", "1", "--out", "no/such/dir/r.jsonl"],
     ],
     ids=" ".join,

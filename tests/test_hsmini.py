@@ -218,6 +218,45 @@ def test_mini_scheme_interface(bundle):
     assert scheme.target_state(b"nope") is None
 
 
+def _member_memo_cases(bundle):
+    b, rng = bundle
+    scheme = hsmini.HsMiniScheme(b)
+    serials = [scheme.bank(rng).serial for _ in range(4)]
+    restored = hsmini.OracleBundle.import_json(b.export_json(), np.random.default_rng(0))
+    return [(scheme, serials), (hsmini.HsMiniScheme(restored), serials)]
+
+
+def test_target_state_memo_matches_subspace_state(bundle):
+    for scheme, serials in _member_memo_cases(bundle):
+        for serial in serials:
+            entry = scheme.bundle.lookup(serial)
+            want = subspace_state(entry.subspace).amps
+            for _ in range(3):
+                assert np.array_equal(scheme.target_state(serial).amps, want)
+            assert not entry.members.flags.writeable
+            with pytest.raises(ValueError):
+                entry.members[0] = 1
+        assert scheme.target_state(b"\x00" * 3) is None
+
+
+def test_target_state_enumerates_each_serial_once(bundle, monkeypatch):
+    for scheme, serials in _member_memo_cases(bundle):
+        assert all(scheme.bundle.lookup(s).members is None for s in serials)
+        enumerated = []
+        member_array = Subspace.member_array
+
+        def counted(sub):
+            enumerated.append(sub)
+            return member_array(sub)
+
+        monkeypatch.setattr(Subspace, "member_array", counted)
+        for _ in range(3):
+            for serial in serials:
+                scheme.target_state(serial)
+        assert enumerated == [scheme.bundle.lookup(s).subspace for s in serials]
+        monkeypatch.undo()
+
+
 def test_neighbor_collision_bound_sampled():
     # for random neighbors B of A, no point outside the combined member sets
     # is hit much more often than 2^{-n/2}

@@ -278,6 +278,17 @@ def test_norm_validation_and_immutability():
         s.amps[0] = 9.0
 
 
+def test_qubit_cap_guards_every_new_qubit_count(monkeypatch):
+    monkeypatch.setenv("HSMONEY_QUBIT_CAP", "6")
+    with pytest.raises(ValueError):
+        StateVector.basis(7, 0)
+    with pytest.raises(ValueError):
+        StateVector.uniform(7)
+    with pytest.raises(ValueError):
+        StateVector.basis(4, 0).tensor(StateVector.basis(3, 0))
+    assert StateVector.basis(3, 0).tensor(StateVector.basis(3, 0)).n_qubits == 6
+
+
 def test_dump_load_roundtrip():
     rng = np.random.default_rng(37)
     a = f2lin.random_subspace(6, 3, rng)
