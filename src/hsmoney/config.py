@@ -25,6 +25,11 @@ def qubit_cap() -> int:
     return int(raw)
 
 
+# Qubit cap of a Wiesner note. Its qubits are unentangled, so no 2^n object
+# is built, but each note records one basis per qubit and verification walks
+# them one at a time; the largest catalog and golden value is 16.
+WIESNER_QUBIT_CAP = 64
+
 # Numerical tolerance for unit-norm / Hermiticity / operator-identity checks.
 ATOL = 1e-9
 

@@ -10,7 +10,7 @@ same set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -307,6 +307,18 @@ def image(f: LinMap, a: Subspace) -> Subspace:
     return Subspace.from_rows([f.apply(r) for r in a.basis], a.n)
 
 
+def _insert_reduced(reduced: Dict[int, int], x: int) -> bool:
+    """Add x to the reduced rows unless their span holds it; True if added."""
+    while x:
+        low = x & -x
+        row = reduced.get(low)
+        if row is None:
+            reduced[low] = x
+            return True
+        x ^= row
+    return False
+
+
 def complete_to_invertible(a: Subspace, rng: np.random.Generator) -> LinMap:
     """An invertible map whose first dim(A) columns are a basis of A.
 
@@ -314,9 +326,15 @@ def complete_to_invertible(a: Subspace, rng: np.random.Generator) -> LinMap:
     A onto the coordinate subspace.
     """
     rows: List[int] = list(a.basis)
+    # reduced rows keyed by their lowest set bit: reducing a candidate
+    # against them clears its lowest bit at each step, so it takes at most n
+    # XORs and ends at 0 exactly when the candidate is in the span so far
+    reduced: Dict[int, int] = {}
+    for cand in a.basis:
+        _insert_reduced(reduced, cand)
     while len(rows) < a.n:
         cand = int(rng.integers(0, 1 << a.n))
-        if len(rref(rows + [cand], a.n)) > len(rows):
+        if _insert_reduced(reduced, cand):
             rows.append(cand)
     # rows[j] becomes column j
     cols = rows

@@ -5,7 +5,10 @@ are stored as stacked algebraic-normal-form coefficient tables of shape
 (m, 2^n) so that truth tables, zero-count tables, and basis changes run as
 vectorized XOR butterflies over all 2^n points at once. The butterfly (the
 binary Moebius transform) is an involution: it maps coefficient tables to
-truth tables and back.
+truth tables and back. It runs on bits: each row is packed 64 points to a
+uint64 word for the transform, while the tables themselves stay one byte per
+(row, monomial), the layout that note files, tests and the benchmark's
+checks index by monomial.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,21 +38,50 @@ class DegreeOneAttackError(RuntimeError):
     """The linear-system attack could not assemble a spanning set."""
 
 
+# In-word butterflies on little-endian uint64 words: point j of a packed row
+# is bit j % 64 of word j // 64. For shift s, the mask selects the points
+# whose bit s is clear, and the shift XORs each into its partner with bit s set.
+_WORD = np.dtype("<u8")
+_WORD_BUTTERFLIES = tuple(
+    (np.uint64(s), np.uint64(mask))
+    for s, mask in (
+        (1, 0x5555555555555555),
+        (2, 0x3333333333333333),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (8, 0x00FF00FF00FF00FF),
+        (16, 0x0000FFFF0000FFFF),
+        (32, 0x00000000FFFFFFFF),
+    )
+)
+
+
 def xor_mobius_inplace(mat: np.ndarray) -> np.ndarray:
     """Binary Moebius transform along the last axis (involution).
 
     Maps ANF coefficients to truth tables and back: out[v] = XOR of in[m]
-    over all m that are subsets of v.
+    over all m that are subsets of v. `mat` is a C-contiguous uint8 array of
+    0/1 entries. Each row is packed 64 points to a word, transformed by six
+    in-word butterflies and then word-level passes, and unpacked into `mat`.
+    A row of fewer than 64 points sits in the low bits of one zero-padded
+    word; the butterflies only move bits upward, so the padding never reaches
+    it.
     """
     size = mat.shape[-1]
     n = size.bit_length() - 1
     if 1 << n != size:
         raise ValueError("last axis must have power-of-two length")
-    flat = mat.reshape(-1)
-    for i in range(n):
-        step = 1 << i
-        view = flat.reshape(-1, 2, step)
+    if mat.dtype != np.uint8 or not mat.flags.c_contiguous:
+        raise ValueError("the table must be a C-contiguous uint8 array")
+    rows = mat.reshape(-1, size)  # a view, as mat is C-contiguous
+    words = np.zeros((len(rows), max(size >> 6, 1)), dtype=_WORD)
+    words.view(np.uint8)[:, : (size + 7) >> 3] = np.packbits(rows, axis=1, bitorder="little")
+    for s, mask in _WORD_BUTTERFLIES[:n]:
+        words ^= (words & mask) << s
+    flat = words.reshape(-1)
+    for i in range(6, n):
+        view = flat.reshape(-1, 2, 1 << (i - 6))
         view[:, 1, :] ^= view[:, 0, :]
+    rows[...] = np.unpackbits(words.view(np.uint8), axis=1, count=size, bitorder="little")
     return mat
 
 
@@ -130,32 +162,72 @@ class MultilinearPoly:
         return MultilinearPoly.from_masks(self.n_vars, self.degree_bound, np.flatnonzero(coeffs))
 
 
+def _frame_coeff_batch(
+    a: Subspace, d: int, count: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, Optional[LinMap]]:
+    """count uniform samples from the vanishing ideal of the coordinate frame
+    of dimension dim(A), as ANF coefficient rows (each admissible monomial
+    independently with probability 1/2), and a basis map sending A onto that
+    frame. The map is None when A is the frame itself, which includes the
+    zero and the full space."""
+    if d < 1:
+        raise ValueError("degree bound must be at least 1")
+    allowed = _allowed_masks(a.n, a.dim, d)
+    coeffs = np.zeros((count, 1 << a.n), dtype=np.uint8)
+    if len(allowed):
+        coeffs[:, allowed] = rng.integers(0, 2, size=(count, len(allowed)), dtype=np.uint8)
+    if a.basis == tuple(1 << i for i in range(a.dim)):
+        return coeffs, None
+    return coeffs, complete_to_invertible(a, rng).inverse()
+
+
+def _permute_points(coeffs: np.ndarray, maps: Sequence[LinMap]) -> np.ndarray:
+    """Row i becomes the polynomial q with q(v) = p(L v), where L is maps[i],
+    or maps[0] for every row when only one map is given. Each point
+    permutation table is built when its row is gathered, so only one
+    (2^n int64) is held at a time."""
+    xor_mobius_inplace(coeffs)
+    if len(maps) == 1:
+        gathered = np.take(coeffs, maps[0].permutation_table(), axis=1)
+    else:
+        gathered = np.empty_like(coeffs)
+        for row, to_frame, out in zip(coeffs, maps, gathered):
+            np.take(row, to_frame.permutation_table(), out=out)
+    return xor_mobius_inplace(gathered)
+
+
 def _vanishing_coeff_batch(
     a: Subspace, d: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """count uniform samples from the vanishing ideal, as ANF coefficient rows.
 
-    Samples in the coordinate frame (each admissible monomial independently
-    with probability 1/2), then permutes truth tables through a basis map
-    sending the subspace onto the coordinate frame.
+    Samples in the coordinate frame, then permutes truth tables through a
+    basis map sending the subspace onto the coordinate frame.
     """
-    n = a.n
-    if d < 1:
-        raise ValueError("degree bound must be at least 1")
-    allowed = _allowed_masks(n, a.dim, d)
+    coeffs, to_frame = _frame_coeff_batch(a, d, count, rng)
+    return coeffs if to_frame is None else _permute_points(coeffs, [to_frame])
+
+
+def _decoy_coeff_rows(
+    n: int, dim: int, d: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """count rows, each vanishing on its own fresh uniform dim-dimensional
+    subspace. All draws are made first, in the order of one subspace, its
+    row and its completion after another; then the rows that need a basis
+    change are moved together."""
     coeffs = np.zeros((count, 1 << n), dtype=np.uint8)
-    if len(allowed):
-        coeffs[:, allowed] = rng.integers(0, 2, size=(count, len(allowed)), dtype=np.uint8)
-    if a.dim in (0, a.n) or a.basis == tuple(1 << i for i in range(a.dim)):
-        if a.dim == a.n:
-            # only the zero polynomial vanishes on the full space
-            return np.zeros((count, 1 << n), dtype=np.uint8)
-        return coeffs
-    to_frame = complete_to_invertible(a, rng).inverse()  # maps A onto the frame
-    perm = to_frame.permutation_table()
-    xor_mobius_inplace(coeffs)
-    gathered = np.ascontiguousarray(coeffs[:, perm])
-    return xor_mobius_inplace(gathered)
+    moved: List[int] = []
+    maps: List[LinMap] = []
+    for i in range(count):
+        decoy = random_subspace(n, dim, rng)
+        row, to_frame = _frame_coeff_batch(decoy, d, 1, rng)
+        coeffs[i] = row[0]
+        if to_frame is not None:
+            moved.append(i)
+            maps.append(to_frame)
+    if moved:
+        coeffs[moved] = _permute_points(coeffs[moved], maps)
+    return coeffs
 
 
 def sample_vanishing(a: Subspace, d: int, rng: np.random.Generator) -> MultilinearPoly:
@@ -278,9 +350,8 @@ def sample_noisy_system(
     honest_positions = order[n_noisy:]
     if len(honest_positions):
         coeffs[honest_positions] = _vanishing_coeff_batch(a, d, len(honest_positions), rng)
-    for pos in noisy_positions:
-        decoy = random_subspace(a.n, a.dim, rng)
-        coeffs[pos] = _vanishing_coeff_batch(decoy, d, 1, rng)[0]
+    if n_noisy:
+        coeffs[order[:n_noisy]] = _decoy_coeff_rows(a.n, a.dim, d, n_noisy, rng)
     return PolySystem(a.n, d, eps, coeffs, noise_positions=noisy_positions)
 
 

@@ -54,8 +54,8 @@ class NaiveBank:
     post-measurement qubits back, accepted or not."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("a note needs at least one qubit")
+        if not 1 <= n <= config.WIESNER_QUBIT_CAP:
+            raise ValueError(f"a Wiesner note needs 1 to {config.WIESNER_QUBIT_CAP} qubits, got {n}")
         self.n = n
         self._records: Dict[bytes, Tuple[int, ...]] = {}
         self.verify_queries = 0

@@ -1,17 +1,39 @@
-"""Dense reference for the search loops: every Grover step and every
-measurement acts on all 2^n amplitudes.
+"""Reference implementations that the library replaced with faster ones,
+kept only so that tests can run both from identical seeds and compare
+results, counters and RNG streams.
 
-`hsmoney.search` runs the same loops on two plane coefficients. These are
-the full-statevector loops it replaced, kept only so that tests can run
-both from identical seeds and compare states, counters and RNG streams.
+The search loops here act on all 2^n amplitudes at every Grover step and
+measurement; `hsmoney.search` runs them on two plane coefficients. The basis
+completion here row-reduces every candidate from scratch;
+`hsmoney.f2lin.complete_to_invertible` keeps an incremental reduced basis.
 """
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
+from hsmoney.f2lin import LinMap, Subspace, rref
 from hsmoney.qsim import Projector, StateVector, measure_projector
 from hsmoney.search import SearchProblem
+
+
+def complete_to_invertible(a: Subspace, rng: np.random.Generator) -> LinMap:
+    """An invertible map whose first dim(A) columns are a basis of A, from
+    uniform candidates accepted when a full `rref` shows the rank grew."""
+    rows: List[int] = list(a.basis)
+    while len(rows) < a.n:
+        cand = int(rng.integers(0, 1 << a.n))
+        if len(rref(rows + [cand], a.n)) > len(rows):
+            rows.append(cand)
+    # rows[j] becomes column j
+    cols = rows
+    mat_rows = []
+    for i in range(a.n):
+        r = 0
+        for j, c in enumerate(cols):
+            r |= ((c >> i) & 1) << j
+        mat_rows.append(r)
+    return LinMap(a.n, tuple(mat_rows))
 
 
 def amplitude_amplify(p: SearchProblem, T: int) -> StateVector:

@@ -211,6 +211,9 @@ def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
         ["wiesner", "attack-adaptive", "--n", "1"],
         ["wiesner", "mint", "--n", "0"],
         ["wiesner", "verify", "--n", "0"],
+        # one recorded basis per qubit: past the Wiesner cap of 64
+        ["wiesner", "mint", "--n", "65"],
+        ["wiesner", "verify", "--n", str(10 ** 12)],
         ["wiesner", "verify", "--trials", "0"],
         ["keyed", "verify", "--n", "3"],
         ["keyed", "verify", "--n", "8", "--trials", "-1"],

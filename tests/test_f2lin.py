@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dense_reference
 from hsmoney import f2lin
 from hsmoney.f2lin import LinMap, Subspace
 
@@ -239,6 +240,18 @@ def test_complete_to_invertible_maps_coordinates_onto_subspace():
         assert f.is_invertible()
         coord = Subspace.from_rows([1 << i for i in range(4)], n)
         assert f2lin.image(f, coord) == a
+
+
+def test_complete_to_invertible_matches_rref_reference():
+    """Same map and same generator state as completing by a full rref per
+    candidate, at every dimension."""
+    n = 8
+    for seed in range(30):
+        for dim in range(n + 1):
+            a = f2lin.random_subspace(n, dim, np.random.default_rng([seed, dim]))
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert f2lin.complete_to_invertible(a, fast) == dense_reference.complete_to_invertible(a, slow)
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_serialization_roundtrip():

@@ -1,5 +1,6 @@
 """Polynomial hiding: sampling, Z-sets, basis changes, explicit scheme, attack."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -55,6 +56,45 @@ def test_mobius_involution():
     mat = rng.integers(0, 2, size=(5, 64)).astype(np.uint8)
     back = xor_mobius_inplace(xor_mobius_inplace(mat.copy()))
     assert np.array_equal(back, mat)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        pytest.param(np.zeros((16, 4), dtype=np.uint8).T, id="transposed view"),
+        pytest.param(np.zeros((4, 32), dtype=np.uint8)[:, ::2], id="strided view"),
+        pytest.param(np.zeros((4, 16), dtype=np.int64), id="int64"),
+        pytest.param(np.zeros((4, 16), dtype=np.bool_), id="bool"),
+    ],
+)
+def test_mobius_rejects_tables_it_cannot_transform_in_place(table):
+    with pytest.raises(ValueError, match="C-contiguous uint8"):
+        xor_mobius_inplace(table)
+
+
+def test_mobius_transforms_a_view_of_contiguous_rows_in_place():
+    mat = np.zeros((3, 16), dtype=np.uint8)
+    mat[1, 0] = 1  # the constant polynomial 1 is 1 at every point
+    xor_mobius_inplace(mat[1:2])
+    assert np.array_equal(mat[1], np.ones(16, dtype=np.uint8))
+    assert not mat[0].any() and not mat[2].any()
+
+
+# sha256 over both systems' coefficient tables and noise positions, then the
+# secret basis, of one n=12 note; fixes every draw of the sampler and of the
+# basis completions it makes
+EXPLICIT_NOTE_DIGEST = "64b54dfecc43bd6e78d5273d2a2aa0e05380b6689f08031b5f6ddab7d6b744b4"
+
+
+def test_explicit_note_draws_are_pinned():
+    note, secret = bank_explicit_with_secret(12, 4, 0.25, 12.0, np.random.default_rng(108))
+    h = hashlib.sha256()
+    for system in (note.primal_system, note.dual_system):
+        assert system.coeffs.dtype == np.uint8 and system.coeffs.flags.c_contiguous
+        h.update(system.coeffs.tobytes())
+        h.update(repr(system.noise_positions).encode())
+    h.update(repr(secret.basis).encode())
+    assert h.hexdigest() == EXPLICIT_NOTE_DIGEST
 
 
 def test_change_basis_identity_and_pointwise():

@@ -95,6 +95,26 @@ def test_mobius_is_an_involution(n, m, seed):
     assert np.array_equal(xor_mobius_inplace(xor_mobius_inplace(table.copy())), table)
 
 
+def _subset_xor(table: np.ndarray) -> np.ndarray:
+    """out[v] = XOR of table[u] over every u that is a subset of v, naively."""
+    size = table.shape[-1]
+    out = np.zeros_like(table)
+    for v in range(size):
+        for u in range(size):
+            if u & v == u:
+                out[..., v] ^= table[..., u]
+    return out
+
+
+@small
+@given(st.integers(0, 8), st.integers(0, 4), seeds)
+def test_mobius_matches_its_definition(n, m, seed):
+    # m = 0 draws one 1-D row; tables of n < 6 fill part of one packed word
+    shape = (m, 1 << n) if m else (1 << n,)
+    table = np.random.default_rng(seed).integers(0, 2, size=shape, dtype=np.uint8)
+    assert np.array_equal(xor_mobius_inplace(table.copy()), _subset_xor(table))
+
+
 @small
 @given(invertible_maps())
 def test_linmap_identities(m):
