@@ -8,11 +8,11 @@ project / transform / project / transform, charging exactly one primal and
 one dual oracle query.
 
 Each bundle entry memoises its subspace's member indices: 2^(n/2) read-only
-int64 values (128 B at n=8, 2 KiB at n=16), filled by the first
-`HsMiniScheme.target_state` call for the serial. Repeated verifications of
-a serial, as in threshold repetition over a composite note, then build the
-target state from the memo without enumerating the subspace again. Dense
-states are not memoised.
+int64 values (128 B at n=8, 2 KiB at n=16), filled by the first `bank` or
+`HsMiniScheme.target_state` call for the serial. Re-minting a serial and
+repeated verifications of it, as in threshold repetition over a composite
+note, then build the money state from the memo without enumerating the
+subspace again. Dense states are not memoised.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .qsim import (
     Projector,
     StateVector,
     subspace_mask,
-    subspace_state,
     uniform_on,
     verify_two_basis,
     walsh_hadamard_raw,
@@ -55,14 +54,22 @@ def _sample_serial(n: int, rng: np.random.Generator) -> bytes:
 class BundleEntry:
     """One issued note: G's input r, its serial and its subspace.
 
-    `members` is None until `HsMiniScheme.target_state` first asks for the
-    serial; it then holds the subspace's 2^(n/2) member indices as a
-    read-only int64 array (128 B at n=8, 2 KiB at n=16)."""
+    `members` is None until `money_state` is first called; it then holds the
+    subspace's 2^(n/2) member indices as a read-only int64 array (128 B at
+    n=8, 2 KiB at n=16)."""
 
     r: int
     serial: bytes
     subspace: Subspace
     members: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def money_state(self) -> StateVector:
+        """|A>, built from the member memo, which the first call fills. The
+        bundle checked n against the qubit cap when it was built."""
+        if self.members is None:
+            self.members = self.subspace.member_array()
+            self.members.setflags(write=False)
+        return uniform_on(self.subspace.n, self.members)
 
 
 class OracleBundle:
@@ -188,24 +195,30 @@ class OracleBundle:
 def bank(bundle: OracleBundle, rng: np.random.Generator) -> Banknote:
     """Draw r uniformly and mint (s_r, |A_r>)."""
     r = int(rng.integers(0, 1 << bundle.n))
-    serial, sub = bundle.generator(r)
-    return Banknote(serial, subspace_state(sub))
+    serial, _ = bundle.generator(r)
+    return Banknote(serial, bundle.lookup(serial).money_state())
 
 
 def verify_circuit(
-    bundle: OracleBundle, serial: bytes, state: StateVector, rng: np.random.Generator
-) -> Tuple[bool, StateVector]:
+    bundle: OracleBundle,
+    serial: bytes,
+    state: StateVector,
+    rng: np.random.Generator,
+    transform_back: bool = True,
+) -> Tuple[bool, Optional[StateVector]]:
     """Project onto the subspace, transform, project onto the dual, transform.
 
     Rejects invalid serials outright; otherwise charges exactly one primal
     and one dual query, and accepts a pure state with probability equal to
-    its squared overlap with the money state.
+    its squared overlap with the money state. `transform_back=False` skips
+    the final transform and returns None for the post state of a valid
+    serial (see `verify_two_basis`).
     """
     if not bundle.check_serial(serial):
         return False, state
     primal = Projector.from_oracle(bundle.primal_oracle(serial))
     dual = Projector.from_oracle(bundle.dual_oracle(serial))
-    return verify_two_basis(primal, dual, state, rng)
+    return verify_two_basis(primal, dual, state, rng, transform_back)
 
 
 def verifier_as_projector(bundle: OracleBundle, serial: bytes) -> Projector:
@@ -213,7 +226,7 @@ def verifier_as_projector(bundle: OracleBundle, serial: bytes) -> Projector:
     entry = bundle.lookup(serial)
     if entry is None:
         raise ValueError("invalid serial")
-    return Projector.onto_state(subspace_state(entry.subspace))
+    return Projector.onto_state(entry.money_state())
 
 
 def verifier_circuit_matrix(bundle: OracleBundle, serial: bytes) -> np.ndarray:
@@ -244,7 +257,7 @@ def verifier_operator_distance(bundle: OracleBundle, serial: bytes) -> float:
     if entry is None:
         raise ValueError("invalid serial")
     n = bundle.n
-    target = subspace_state(entry.subspace)
+    target = entry.money_state()
     dual_mask = subspace_mask(entry.subspace.dual())
     worst = 0.0
     basis_col = np.zeros(1 << n, dtype=np.complex128)
@@ -272,18 +285,17 @@ class HsMiniScheme(MiniScheme):
         return bank(self.bundle, rng)
 
     def target_state(self, serial: bytes) -> Optional[StateVector]:
-        """The serial's money state |A>, or None for an unissued serial.
-        The bundle checked n against the qubit cap when it was built."""
+        """The serial's money state |A>, or None for an unissued serial."""
         entry = self.bundle.lookup(serial)
-        if entry is None:
-            return None
-        if entry.members is None:
-            entry.members = entry.subspace.member_array()
-            entry.members.setflags(write=False)
-        return uniform_on(self.n, entry.members)
+        return None if entry is None else entry.money_state()
 
     def verify_post(self, serial, state, rng):
         return verify_circuit(self.bundle, serial, state, rng)
+
+    def verify(self, serial, state, rng):
+        # the accept bit only: no transform back to the standard basis
+        ok, _ = verify_circuit(self.bundle, serial, state, rng, transform_back=False)
+        return ok
 
 
 class ConjugatedOracle(PhaseOracle):

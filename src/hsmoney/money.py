@@ -137,10 +137,15 @@ class LamportMerkleSigner:
     def _secret(self, master: bytes, leaf: int, bit: int, value: int) -> bytes:
         return _h(master + leaf.to_bytes(4, "big") + bit.to_bytes(2, "big") + bytes([value]))
 
+    def _leaf_secrets(self, master: bytes, leaf: int) -> Tuple[List[bytes], List[bytes]]:
+        """The leaf's 2 x 256 one-time secrets, for bit value 0 and 1."""
+        return tuple(
+            [self._secret(master, leaf, j, value) for j in range(_MSG_BITS)] for value in (0, 1)
+        )
+
     def _leaf_pk_halves(self, master: bytes, leaf: int) -> Tuple[List[bytes], List[bytes]]:
-        zeros = [_h(self._secret(master, leaf, j, 0)) for j in range(_MSG_BITS)]
-        ones = [_h(self._secret(master, leaf, j, 1)) for j in range(_MSG_BITS)]
-        return zeros, ones
+        zeros, ones = self._leaf_secrets(master, leaf)
+        return [_h(s) for s in zeros], [_h(s) for s in ones]
 
     def _leaf_hash(self, zeros: Sequence[bytes], ones: Sequence[bytes]) -> bytes:
         return _h(b"".join(zeros) + b"".join(ones))
@@ -171,9 +176,11 @@ class LamportMerkleSigner:
         sk.next_leaf += 1
         digest = _h(message)
         bits = [(digest[j // 8] >> (7 - j % 8)) & 1 for j in range(_MSG_BITS)]
-        reveals = [self._secret(sk.master, leaf, j, bits[j]) for j in range(_MSG_BITS)]
-        zeros, ones = self._leaf_pk_halves(sk.master, leaf)
-        complements = [ones[j] if bits[j] == 0 else zeros[j] for j in range(_MSG_BITS)]
+        # reveal the secret for each message bit; the other public-key half
+        # is the hash of the secret not revealed
+        secrets = self._leaf_secrets(sk.master, leaf)
+        reveals = [secrets[b][j] for j, b in enumerate(bits)]
+        complements = [_h(secrets[1 - b][j]) for j, b in enumerate(bits)]
         path = []
         idx = leaf
         for level in sk.levels[:-1]:

@@ -446,9 +446,11 @@ def _systems_well_formed(primal: PolySystem, dual: PolySystem) -> bool:
 
 
 def verify_explicit_post(
-    note: ExplicitNote, rng: np.random.Generator
-) -> Tuple[bool, StateVector]:
-    """Format check, then the four-step circuit with Z-set projectors."""
+    note: ExplicitNote, rng: np.random.Generator, transform_back: bool = True
+) -> Tuple[bool, Optional[StateVector]]:
+    """Format check, then the four-step circuit with Z-set projectors.
+    `transform_back=False` skips the final transform and returns None for
+    the post state of a well-formed note (see `qsim.verify_two_basis`)."""
     primal, dual = note.primal_system, note.dual_system
     if not _systems_well_formed(primal, dual):
         return False, note.state
@@ -457,11 +459,11 @@ def verify_explicit_post(
     n = primal.n_vars
     p_z = Projector.from_mask(n, zset_mask(primal))
     p_zperp = Projector.from_mask(n, zset_mask(dual))
-    return verify_two_basis(p_z, p_zperp, note.state, rng)
+    return verify_two_basis(p_z, p_zperp, note.state, rng, transform_back)
 
 
 def verify_explicit(note: ExplicitNote, rng: np.random.Generator) -> bool:
-    ok, _ = verify_explicit_post(note, rng)
+    ok, _ = verify_explicit_post(note, rng, transform_back=False)
     return ok
 
 

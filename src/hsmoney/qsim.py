@@ -138,18 +138,41 @@ def uniform_on(n_qubits: int, members: np.ndarray) -> StateVector:
     return StateVector._wrap(n_qubits, amps)
 
 
+# Sylvester Hadamard matrix H_2^{(x)4}: entry (x, y) is (-1)^{popcount(x & y)}.
+# Its leading 2^r x 2^r block is H_2^{(x)r}.
+_SYLVESTER16 = np.array(
+    [[(-1.0) ** bin(x & y).count("1") for y in range(16)] for x in range(16)]
+)
+_SYLVESTER16.setflags(write=False)
+
+
 def walsh_hadamard_raw(amps: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard butterfly on a raw amplitude array."""
+    """Normalized Walsh-Hadamard transform of a raw amplitude array; returns
+    a new complex array and leaves `amps` untouched.
+
+    Radix 16: each pass transforms four qubits at once as one real `matmul`
+    with `_SYLVESTER16` on the float64 view, where qubit i has a float stride
+    of 2^(i+1) and the real and imaginary parts ride along as the lowest
+    axis. The last pass takes the remaining n mod 4 qubits with the leading
+    block. Passes alternate between two buffers; the normalization is
+    applied while copying the input into the first.
+    """
     n = len(amps).bit_length() - 1
-    h = amps.astype(np.complex128, copy=True)
-    for i in range(n):
-        h = h.reshape(-1, 2, 1 << i)
-        top = h[:, 0, :].copy()
-        h[:, 0, :] = top + h[:, 1, :]
-        h[:, 1, :] = top - h[:, 1, :]
-        h = h.reshape(-1)
-    h *= 2 ** (-n / 2)
-    return h
+    src = np.empty(1 << n, dtype=np.complex128)
+    np.multiply(amps, 2 ** (-n / 2), out=src)
+    dst = np.empty_like(src)
+    lo = 0
+    while lo < n:
+        r = min(4, n - lo)
+        shape = (-1, 1 << r, 2 << lo)
+        np.matmul(
+            _SYLVESTER16[: 1 << r, : 1 << r],
+            src.view(np.float64).reshape(shape),
+            out=dst.view(np.float64).reshape(shape),
+        )
+        src, dst = dst, src
+        lo += r
+    return src
 
 
 def hadamard_all(s: StateVector) -> StateVector:
@@ -299,13 +322,21 @@ def measure_projector(
 
 
 def verify_two_basis(
-    primal: Projector, dual: Projector, state: StateVector, rng: np.random.Generator
-) -> Tuple[bool, StateVector]:
+    primal: Projector,
+    dual: Projector,
+    state: StateVector,
+    rng: np.random.Generator,
+    transform_back: bool = True,
+) -> Tuple[bool, Optional[StateVector]]:
     """Two-basis verifier: measure the primal projector, Hadamard every qubit,
-    measure the dual projector, transform back. Accepts when both accept."""
+    measure the dual projector, transform back. Accepts when both accept.
+
+    With `transform_back=False` the last transform, which only produces the
+    post-measurement state, is skipped and None stands in for that state;
+    the measurements, their RNG draws and query charges are the same."""
     ok1, s, _ = measure_projector(primal, state, rng)
     ok2, s, _ = measure_projector(dual, hadamard_all(s), rng)
-    return ok1 and ok2, hadamard_all(s)
+    return ok1 and ok2, hadamard_all(s) if transform_back else None
 
 
 def measure_register(

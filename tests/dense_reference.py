@@ -6,6 +6,8 @@ The search loops here act on all 2^n amplitudes at every Grover step and
 measurement; `hsmoney.search` runs them on two plane coefficients. The basis
 completion here row-reduces every candidate from scratch;
 `hsmoney.f2lin.complete_to_invertible` keeps an incremental reduced basis.
+The Walsh-Hadamard transform here is one radix-2 butterfly per qubit;
+`hsmoney.qsim.walsh_hadamard_raw` takes four qubits per `matmul` pass.
 """
 
 from typing import List, Tuple
@@ -65,3 +67,17 @@ def measure_restore(
             return s, rounds, True
         _, s, _ = measure_projector(restore, s, rng)
     return s, budget, False
+
+
+def walsh_hadamard_butterfly(amps: np.ndarray) -> np.ndarray:
+    """Normalized Walsh-Hadamard transform, one radix-2 butterfly per qubit."""
+    n = len(amps).bit_length() - 1
+    h = amps.astype(np.complex128, copy=True)
+    for i in range(n):
+        h = h.reshape(-1, 2, 1 << i)
+        top = h[:, 0, :].copy()
+        h[:, 0, :] = top + h[:, 1, :]
+        h[:, 1, :] = top - h[:, 1, :]
+        h = h.reshape(-1)
+    h *= 2 ** (-n / 2)
+    return h

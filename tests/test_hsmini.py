@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hsmoney import f2lin, hsmini
+from hsmoney import f2lin, hsmini, qsim
 from hsmoney.f2lin import Subspace
 from hsmoney.qsim import StateVector, subspace_state
 
@@ -219,9 +219,11 @@ def test_mini_scheme_interface(bundle):
 
 
 def _member_memo_cases(bundle):
+    # serials issued through G alone, so that no money state is built yet;
+    # `bank` fills the memo itself (see the test after these)
     b, rng = bundle
     scheme = hsmini.HsMiniScheme(b)
-    serials = [scheme.bank(rng).serial for _ in range(4)]
+    serials = [b.generator(r)[0] for r in (3, 17, 40, 200)]
     restored = hsmini.OracleBundle.import_json(b.export_json(), np.random.default_rng(0))
     return [(scheme, serials), (hsmini.HsMiniScheme(restored), serials)]
 
@@ -255,6 +257,78 @@ def test_target_state_enumerates_each_serial_once(bundle, monkeypatch):
                 scheme.target_state(serial)
         assert enumerated == [scheme.bundle.lookup(s).subspace for s in serials]
         monkeypatch.undo()
+
+
+def test_bank_and_target_state_share_the_member_memo(bundle, monkeypatch):
+    b, rng = bundle
+    scheme = hsmini.HsMiniScheme(b)
+    enumerated = []
+    member_array = Subspace.member_array
+
+    def counted(sub):
+        enumerated.append(sub)
+        return member_array(sub)
+
+    monkeypatch.setattr(Subspace, "member_array", counted)
+    # n=8 leaves 256 values of r, so 40 draws re-mint some serials
+    notes = [hsmini.bank(b, rng) for _ in range(40)]
+    serials = list(dict.fromkeys(note.serial for note in notes))
+    assert len(serials) < len(notes)
+    targets = [scheme.target_state(note.serial) for note in notes]
+    assert enumerated == [b.lookup(s).subspace for s in serials]
+    monkeypatch.undo()
+    for note, target in zip(notes, targets):
+        want = subspace_state(b.lookup(note.serial).subspace).amps
+        assert np.array_equal(note.state.amps, want)
+        assert np.array_equal(target.amps, want)
+
+
+def test_bank_draws_are_unchanged_by_the_memo():
+    # r comes from one rng.integers draw per note, and G's draws happen on a
+    # fresh r only, so a fixed seed mints the same serials and states
+    rng = np.random.default_rng(73)
+    b = hsmini.OracleBundle(8, rng)
+    notes = [hsmini.bank(b, rng) for _ in range(30)]
+    replay = np.random.default_rng(73)
+    b2 = hsmini.OracleBundle(8, replay)
+    for note in notes:
+        serial, sub = b2.generator(int(replay.integers(0, 1 << 8)))
+        assert serial == note.serial
+        assert np.array_equal(subspace_state(sub).amps, note.state.amps)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def _junk_state(b, serial):
+    sub = b.lookup(serial).subspace
+    return StateVector.basis(8, next(x for x in range(1, 256) if not sub.contains(x)))
+
+
+@pytest.mark.parametrize(
+    "case, accepts, transforms",
+    [
+        (lambda b, note: (note.serial, note.state), True, (1, 2)),
+        (lambda b, note: (note.serial, _junk_state(b, note.serial)), False, (1, 2)),
+        (lambda b, note: (b"\xff" * 3, note.state), False, (0, 0)),
+    ],
+    ids=["honest", "junk-basis-state", "invalid-serial"],
+)
+def test_verify_is_verify_post_without_the_transform_back(case, accepts, transforms, monkeypatch):
+    wht = qsim.walsh_hadamard_raw
+    runs = []
+    for boolean in (True, False):
+        rng = np.random.default_rng(74)
+        b = hsmini.OracleBundle(8, rng)
+        scheme = hsmini.HsMiniScheme(b)
+        serial, state = case(b, scheme.bank(rng))
+        calls = []
+        monkeypatch.setattr(qsim, "walsh_hadamard_raw", lambda a: calls.append(1) or wht(a))
+        ok = scheme.verify(serial, state, rng) if boolean else scheme.verify_post(serial, state, rng)[0]
+        monkeypatch.undo()
+        queries = (b.g_queries, b.h_queries, b.primal_queries, b.dual_queries)
+        runs.append((ok, rng.bit_generator.state, queries, len(calls)))
+    assert runs[0][0] == runs[1][0] == accepts
+    assert runs[0][1:3] == runs[1][1:3]
+    assert (runs[0][3], runs[1][3]) == transforms
 
 
 def test_neighbor_collision_bound_sampled():

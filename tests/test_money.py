@@ -1,6 +1,7 @@
 """Scheme framework: double verifier, counter, signatures, composition,
 completeness amplification."""
 
+import hashlib
 import itertools
 import math
 
@@ -128,6 +129,22 @@ def test_lamport_many_messages_independent():
         assert signer.sverify(pk, msg, sig)
     with pytest.raises(KeyExhaustionError):
         signer.sign(sk, b"one too many")
+
+
+def test_lamport_signature_bytes_are_pinned(monkeypatch):
+    # digests taken from the signer that derived every secret twice
+    signer = LamportMerkleSigner(tree_height=3)
+    master = bytes(range(32))
+    sk = money._LamportPrivateKey(master, 3, signer._tree_levels(master), next_leaf=5)
+    assert sk.levels[-1][0].hex() == "99875435d424d000d759c6eb859c5b1242dde4286b720c6101984152a999fa17"
+    calls = []
+    h = money._h
+    monkeypatch.setattr(money, "_h", lambda data: calls.append(1) or h(data))
+    sig = signer.sign(sk, b"serial-42")
+    assert hashlib.sha256(sig).hexdigest() == "c74f9f99680fdad91c095841d848f4c7462de0ecb0e70dd31d42e39d95464366"
+    # 512 secrets, 256 hashes of the unrevealed ones, one message digest
+    assert len(calls) == 2 * 256 + 256 + 1
+    assert signer.sverify(sk.levels[-1][0], b"serial-42", sig)
 
 
 def test_lamport_signature_not_valid_for_other_message():

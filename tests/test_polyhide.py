@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hsmoney import f2lin, polyhide
+from hsmoney import f2lin, polyhide, qsim
 from hsmoney.f2lin import LinMap, Subspace
 from hsmoney.polyhide import (
     DegreeOneAttackError,
@@ -286,6 +286,44 @@ def test_explicit_malformed_serial_rejects():
     )
     bad = ExplicitNote(short, note.dual_system, note.state)
     assert not verify_explicit(bad, rng)
+
+
+def _short_primal(note):
+    p = note.primal_system
+    return ExplicitNote(PolySystem(p.n_vars, p.degree_bound, p.eps, p.coeffs[:-1]), note.dual_system, note.state)
+
+
+def _junk_explicit(note, secret):
+    x = next(x for x in range(1, 256) if not secret.contains(x))
+    return ExplicitNote(note.primal_system, note.dual_system, StateVector.basis(8, x))
+
+
+@pytest.mark.parametrize(
+    "case, accepts, transforms",
+    [
+        (lambda note, secret: note, True, (1, 2)),
+        (_junk_explicit, False, (1, 2)),
+        (lambda note, secret: _short_primal(note), False, (0, 0)),
+    ],
+    ids=["honest", "junk-basis-state", "malformed-serial"],
+)
+def test_verify_explicit_is_the_post_verifier_without_the_transform_back(
+    case, accepts, transforms, monkeypatch
+):
+    wht = qsim.walsh_hadamard_raw
+    runs = []
+    for boolean in (True, False):
+        rng = np.random.default_rng(97)
+        note, secret = bank_explicit_with_secret(8, 4, 0.25, 12.0, rng)
+        note = case(note, secret)
+        calls = []
+        monkeypatch.setattr(qsim, "walsh_hadamard_raw", lambda a: calls.append(1) or wht(a))
+        ok = verify_explicit(note, rng) if boolean else polyhide.verify_explicit_post(note, rng)[0]
+        monkeypatch.undo()
+        runs.append((ok, rng.bit_generator.state, len(calls)))
+    assert runs[0][0] == runs[1][0] == accepts
+    assert runs[0][1] == runs[1][1]
+    assert (runs[0][2], runs[1][2]) == transforms
 
 
 def test_explicit_mixed_state_acceptance_trace():

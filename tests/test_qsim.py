@@ -1,8 +1,14 @@
 """Statevector, oracle, and fidelity utilities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dense_reference
 from hsmoney import f2lin, qsim
 from hsmoney.f2lin import Subspace
 from hsmoney.qsim import (
@@ -17,6 +23,7 @@ from hsmoney.qsim import (
     measure_projector,
     subspace_state,
     trace_distance,
+    walsh_hadamard_raw,
 )
 
 
@@ -65,6 +72,67 @@ def test_hadamard_uniform_and_involution():
     psi = haar_random_state(5, rng)
     back = hadamard_all(hadamard_all(psi))
     assert np.allclose(back.amps, psi.amps, atol=1e-12)
+
+
+def _complex_gaussian(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+
+
+@pytest.mark.parametrize("n", [*range(11), 13, 16, 17])
+def test_walsh_hadamard_matches_the_butterfly(n):
+    v = _complex_gaussian(n, 300 + n)
+    out = walsh_hadamard_raw(v)
+    assert out.dtype == np.complex128 and out.shape == v.shape
+    assert np.abs(out - dense_reference.walsh_hadamard_butterfly(v)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_walsh_hadamard_matches_the_sylvester_matrix(n):
+    # entry (x, y) of H^{(x)n} is (-1)^{popcount(x & y)} / 2^{n/2}
+    idx = np.arange(1 << n)
+    parity = np.array([[bin(x & y).count("1") & 1 for y in idx] for x in idx])
+    sylvester = (1 - 2 * parity) * 2 ** (-n / 2)
+    v = _complex_gaussian(n, 400 + n)
+    assert np.abs(walsh_hadamard_raw(v) - sylvester @ v).max() <= 1e-12
+
+
+def test_walsh_hadamard_leaves_a_read_only_input_unchanged():
+    s = haar_random_state(9, np.random.default_rng(27))
+    before = s.amps.copy()
+    out = walsh_hadamard_raw(s.amps)
+    assert not s.amps.flags.writeable
+    assert np.array_equal(s.amps, before)
+    assert out.flags.writeable and not np.shares_memory(out, s.amps)
+
+
+_WHT_DIGEST = """
+import hashlib, numpy as np
+from hsmoney.qsim import walsh_hadamard_raw
+h = hashlib.sha256()
+for n in (5, 12, 16, 17):
+    rng = np.random.default_rng(n)
+    h.update(walsh_hadamard_raw(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_walsh_hadamard_is_bit_identical_at_any_blas_thread_count():
+    # the transform is a BLAS call, so records stay identical at every worker
+    # count only if the thread count cannot change its rounding
+    src = str(Path(qsim.__file__).resolve().parents[1])
+    digests = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = subprocess.run(
+            [sys.executable, "-c", _WHT_DIGEST], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_hadamard_duality_n8():
