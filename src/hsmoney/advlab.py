@@ -269,45 +269,6 @@ def track_progress(
 # counterfeiter amplification
 
 
-class TwoPointUnitary:
-    """Unitary sending a designated unit vector exactly to another.
-
-    Acts as a 2x2 rotation on the span of the two vectors and as the
-    identity on its orthogonal complement, so applications cost O(dim).
-    """
-
-    def __init__(self, src: StateVector, dst: StateVector):
-        self.n_qubits = src.n_qubits
-        a = src.amps
-        t = complex(np.vdot(a, dst.amps))
-        w = dst.amps - t * a
-        s = float(np.linalg.norm(w))
-        self._u1 = a
-        if s < 1e-12:
-            # destination is a phase multiple of the source
-            self._u2 = None
-            self._v = np.array([[t, 0.0], [0.0, np.conj(t)]], dtype=np.complex128)
-        else:
-            self._u2 = w / s
-            self._v = np.array([[t, -s], [s, np.conj(t)]], dtype=np.complex128)
-
-    def _apply_block(self, amps: np.ndarray, block: np.ndarray) -> np.ndarray:
-        c1 = np.vdot(self._u1, amps)
-        c2 = np.vdot(self._u2, amps) if self._u2 is not None else 0.0
-        d1 = block[0, 0] * c1 + block[0, 1] * c2
-        d2 = block[1, 0] * c1 + block[1, 1] * c2
-        out = amps - c1 * self._u1 + d1 * self._u1
-        if self._u2 is not None:
-            out = out - c2 * self._u2 + d2 * self._u2
-        return out
-
-    def apply(self, s: StateVector) -> StateVector:
-        return StateVector._wrap(s.n_qubits, self._apply_block(s.amps, self._v))
-
-    def apply_inverse(self, s: StateVector) -> StateVector:
-        return StateVector._wrap(s.n_qubits, self._apply_block(s.amps, self._v.conj().T))
-
-
 def _orthogonal_partner(target: StateVector) -> StateVector:
     """A unit vector orthogonal to the target (basis state when possible)."""
     amps = target.amps
@@ -321,51 +282,71 @@ def _orthogonal_partner(target: StateVector) -> StateVector:
 
 
 class Counterfeiter(CountedOracle):
-    """Unitary circuit `_u` on the doubled register; every call, forward or
-    inverse, charges one query."""
+    """Unitary on the doubled register sending |target>|0> exactly to `dst`.
 
-    name = "counterfeiter"
-    _u: TwoPointUnitary
+    Acts as a 2x2 rotation on the span of the two vectors and as the
+    identity on its orthogonal complement, so applications cost O(dim).
+    `apply` takes an n-qubit note, pads the blank second register and
+    charges one query.
+    """
 
-    def apply(self, s: StateVector) -> StateVector:
+    def __init__(self, target: StateVector, dst: StateVector):
+        super().__init__()
+        self.n_qubits = target.n_qubits
+        a = self._pad(target)
+        t = complex(np.vdot(a, dst.amps))
+        w = dst.amps - t * a
+        s = float(np.linalg.norm(w))
+        self._u1 = a
+        if s < 1e-12:
+            # destination is a phase multiple of the source
+            self._u2 = None
+            self._v = np.array([[t, 0.0], [0.0, np.conj(t)]], dtype=np.complex128)
+        else:
+            self._u2 = w / s
+            self._v = np.array([[t, -s], [s, np.conj(t)]], dtype=np.complex128)
+
+    def _pad(self, note: StateVector) -> np.ndarray:
+        """The amplitudes of |note>|0>."""
+        if note.n_qubits != self.n_qubits:
+            raise ValueError("note and counterfeiter sizes differ")
+        amps = np.zeros(1 << (2 * self.n_qubits), dtype=np.complex128)
+        amps[: len(note.amps)] = note.amps
+        return amps
+
+    def apply(self, note: StateVector) -> StateVector:
         self.charge()
-        return self._u.apply(s)
-
-    def apply_inverse(self, s: StateVector) -> StateVector:
-        self.charge()
-        return self._u.apply_inverse(s)
+        amps = self._pad(note)
+        c1 = np.vdot(self._u1, amps)
+        c2 = np.vdot(self._u2, amps) if self._u2 is not None else 0.0
+        d1 = self._v[0, 0] * c1 + self._v[0, 1] * c2
+        d2 = self._v[1, 0] * c1 + self._v[1, 1] * c2
+        out = amps - c1 * self._u1 + d1 * self._u1
+        if self._u2 is not None:
+            out = out - c2 * self._u2 + d2 * self._u2
+        return StateVector._wrap(2 * self.n_qubits, out)
 
 
 class PlantedCloner(Counterfeiter):
     """Test fixture built from the scheme's secret: maps |psi>|0> to
     |psi> (cos(gamma) |psi> + sin(gamma) |junk>)."""
 
-    name = "planted-cloner"
-
     def __init__(self, target: StateVector, pass2: float):
-        super().__init__()
         if not 0 <= pass2 <= 1:
             raise ValueError("double-verification pass rate must lie in [0, 1]")
-        n = target.n_qubits
-        src = target.tensor(StateVector.basis(n, 0))
         cos_g = math.sqrt(pass2)  # amplitude of the clean copy in the second register
         junk = _orthogonal_partner(target)
         second = cos_g * target.amps + math.sqrt(1 - cos_g ** 2) * junk.amps
-        dst = target.tensor(StateVector(n, second / np.linalg.norm(second)))
-        self._u = TwoPointUnitary(src, dst)
+        dst = target.tensor(StateVector(target.n_qubits, second / np.linalg.norm(second)))
+        super().__init__(target, dst)
 
 
 class JunkEmitter(Counterfeiter):
     """Outputs a fixed state orthogonal to the doubled target."""
 
-    name = "junk-emitter"
-
     def __init__(self, target: StateVector):
-        super().__init__()
         junk = _orthogonal_partner(target)
-        src = target.tensor(StateVector.basis(target.n_qubits, 0))
-        dst = junk.tensor(junk)
-        self._u = TwoPointUnitary(src, dst)
+        super().__init__(target, junk.tensor(junk))
 
 
 @dataclass
@@ -397,9 +378,7 @@ def amplify_counterfeiter(
     target = scheme.target_state(note.serial)
     if target is None:
         raise ValueError("amplification needs a projective scheme")
-    n = scheme.n
-    blank = StateVector.basis(n, 0)
-    init = c.apply(note.state.tensor(blank))
+    init = c.apply(note.state)
     goal_state = target.tensor(target)
     goal = Projector.onto_state(goal_state)
     start_fidelity = goal_state.overlap(init)
@@ -434,12 +413,13 @@ def _amplify_hybrid(
     verifier query each (reflecting about C's output); goal calls are double
     verifications.
     """
-    problem = SearchProblem.with_state_goal(init, goal_state)
+    goal = Projector.onto_state(goal_state, charge_to=CountedOracle("U_goal"))
+    problem = SearchProblem(init, goal)
     params = SearchParams(eps=eps_fid, delta=delta)
     trace: dict = {}
     out, _ = hybrid_search(problem, params, rng, trace=trace)
-    init_calls = problem.init_reflection.query_count
-    goal_calls = problem.goal_reflection.query_count
+    init_calls = problem.init_oracle.query_count
+    goal_calls = goal.charge_to.query_count
     c.charge(2 * init_calls)
     ver_queries = 2 * goal_calls + init_calls
     converged = goal_state.overlap(out) >= 1 - delta
@@ -483,7 +463,6 @@ def amplification_budget(eps: float, delta: float) -> float:
 @dataclass
 class CloneRunResult:
     queries: int
-    attempts: int
     fidelity: float
 
 
@@ -496,7 +475,7 @@ def clone_by_search(
     """Prepare the oracle's target by amplitude amplification from the
     uniform superposition, with up to 64 fresh starts.
 
-    The diffusion about the uniform state is query-free (its reflection's own
+    The diffusion about the uniform state is query-free (the problem's init
     counter is never read); each iteration charges one target-oracle call,
     and each final check charges one more.
     """
@@ -506,7 +485,7 @@ def clone_by_search(
     theta = math.asin(min(1.0, overlap_guess))
     t_star = max(0, round(math.pi / (4 * theta) - 0.5))
     goal = Projector.onto_state(target_oracle.target, charge_to=target_oracle)
-    problem = SearchProblem(uniform, ReflectAboutState(uniform), target_oracle, goal)
+    problem = SearchProblem(uniform, goal)
     before = target_oracle.query_count
     for _ in range(64):
         ok, s, _ = measure_projector(goal, amplitude_amplify(problem, t_star), rng)
@@ -520,7 +499,7 @@ def clone_run(
 ) -> CloneRunResult:
     oracle = ReflectAboutState(target, "U_target")
     state, queries = clone_by_search(oracle, target.n_qubits, rng, overlap_guess)
-    return CloneRunResult(queries=queries, attempts=0, fidelity=state.overlap(target))
+    return CloneRunResult(queries=queries, fidelity=state.overlap(target))
 
 
 @dataclass

@@ -792,3 +792,5 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValueError("n must be at least 2")
     if cfg.trials is not None and cfg.trials < 1:
         raise ValueError("trials must be positive")
+    if cfg.delta is not None and not 0 < cfg.delta < 1:
+        raise ValueError("delta must lie in (0, 1)")

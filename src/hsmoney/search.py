@@ -1,12 +1,15 @@
 """Amplitude amplification, monotone fixed-point search, and their hybrid.
 
-All algorithms run against abstract reflection oracles with query counters.
-Fixed-point search is a measurement-alternation scheme: measure the goal
-projector; on failure measure the rank-1 projector onto the start state to
-restore it (the complementary branch re-enters the loop and is re-amplified
-by the next goal measurement). Expected goal fidelity after T rounds is
->= 1 - exp(-c T eps^2) with the calibrated rate c from config, and is
-monotone in T because a goal acceptance ends the loop inside the goal space.
+A search problem is a start state, a goal projector and query counters: the
+goal projector's own `charge_to` counts goal reflections and measurements,
+and `init_oracle` counts reflections about, or restorations of, the start
+state. Fixed-point search is a measurement-alternation scheme: measure the
+goal projector; on failure measure the rank-1 projector onto the start state
+to restore it (the complementary branch re-enters the loop and is
+re-amplified by the next goal measurement). Expected goal fidelity after T
+rounds is >= 1 - exp(-c T eps^2) with the calibrated rate c from config, and
+is monotone in T because a goal acceptance ends the loop inside the goal
+space.
 
 Every loop runs in the two-dimensional picture of the analysis. The goal is
 a projector P and every restoration is rank-1 onto the start state psi, so
@@ -14,7 +17,7 @@ the state never leaves span{P psi, (I - P) psi}. `_Plane` splits psi once
 (one dense pass) into the orthonormal directions g = P psi / |P psi| and
 r = (I - P) psi / |(I - P) psi|; Grover steps and measure/restore rounds
 then act on the two real coefficients of g and r, and the output
-`StateVector` is built once at the end. The oracles are charged, and
+`StateVector` is built once at the end. The counters are charged, and
 `rng.random()` is drawn, exactly as a dense simulation would do.
 """
 
@@ -22,72 +25,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import config
-from .qsim import (
-    PhaseOracle,
-    Projector,
-    ReflectAboutState,
-    StateVector,
-    measure_projector,
-)
-
-Reflection = Union[PhaseOracle, ReflectAboutState]
+from .qsim import CountedOracle, PhaseOracle, Projector, StateVector, measure_projector
 
 
 @dataclass
 class SearchProblem:
-    """Initial state plus counted reflections about it and about the goal.
+    """Initial state, goal projector P and the init-oracle counter.
 
-    The reflections must be I - 2 P for the goal projector P and
-    I - 2 |init><init|, since the search runs them as those maps: the goal
-    projector has to be the goal reflection's own mask (PhaseOracle) or
-    target (ReflectAboutState), and the init reflection's target the initial
-    state itself, both by identity.
+    A Grover iteration is I - 2 P charged to `goal_projector.charge_to`,
+    then I - 2 |init><init| charged to `init_oracle`.
     """
 
     init_state: StateVector
-    init_reflection: ReflectAboutState
-    goal_reflection: Reflection
     goal_projector: Projector
-
-    def __post_init__(self) -> None:
-        g = self.goal_reflection
-        if isinstance(g, PhaseOracle):
-            same_goal = self.goal_projector.mask is g.mask
-        elif isinstance(g, ReflectAboutState):
-            same_goal = self.goal_projector.target is g.target
-        else:
-            raise ValueError("goal reflection must be a PhaseOracle or a ReflectAboutState")
-        if not same_goal:
-            raise ValueError("goal projector must be the goal reflection's own mask or target")
-        if self.init_reflection.target is not self.init_state:
-            raise ValueError("init reflection must reflect about the initial state")
-
-    @classmethod
-    def with_oracle_goal(cls, init_state: StateVector, goal: PhaseOracle) -> "SearchProblem":
-        return cls(
-            init_state=init_state,
-            init_reflection=ReflectAboutState(init_state, label="U_init"),
-            goal_reflection=goal,
-            goal_projector=Projector.from_oracle(goal),
-        )
-
-    @classmethod
-    def with_state_goal(cls, init_state: StateVector, goal_state: StateVector) -> "SearchProblem":
-        refl = ReflectAboutState(goal_state, label="U_goal")
-        return cls(
-            init_state=init_state,
-            init_reflection=ReflectAboutState(init_state, label="U_init"),
-            goal_reflection=refl,
-            goal_projector=Projector.onto_state(goal_state, charge_to=refl),
-        )
+    init_oracle: CountedOracle = field(default_factory=lambda: CountedOracle("U_init"))
 
     def queries(self) -> int:
-        return self.init_reflection.query_count + self.goal_reflection.query_count
+        return self.init_oracle.query_count + self.goal_projector.charge_to.query_count
 
 
 @dataclass
@@ -168,8 +127,8 @@ def amplitude_amplify(p: SearchProblem, T: int) -> StateVector:
     """
     if T < 0:
         raise ValueError("iteration count must be nonnegative")
-    p.goal_reflection.charge(T)
-    p.init_reflection.charge(T)
+    p.goal_projector.charge_to.charge(T)
+    p.init_oracle.charge(T)
     if T == 0:
         return p.init_state
     plane = _Plane(p.goal_projector, p.init_state)
@@ -206,7 +165,7 @@ def fixed_point_search(p: SearchProblem, T: int, rng: np.random.Generator) -> St
     """Monotone search: T rounds of goal measurement with init restoration."""
     if T < 0:
         raise ValueError("round count must be nonnegative")
-    s, _, _ = measure_restore(p.goal_projector, p.init_state, T, rng, charge_to=p.init_reflection)
+    s, _, _ = measure_restore(p.goal_projector, p.init_state, T, rng, charge_to=p.init_oracle)
     return s
 
 
@@ -236,7 +195,7 @@ def hybrid_search(
     T = int(rng.integers(0, params.L + 1))
     phi = amplitude_amplify(p, T)
     s, rounds, hit = measure_restore(p.goal_projector, phi, params.R, rng)
-    p.init_reflection.charge((T + 1) * (rounds - hit))
+    p.init_oracle.charge((T + 1) * (rounds - hit))
     if trace is not None:
         trace.update(T=T, rounds=rounds)
     return s, p.queries() - before
@@ -289,4 +248,4 @@ def planted_problem(
     amps[rest_idx] = math.sqrt(max(0.0, 1 - overlap ** 2)) / math.sqrt(dim - goal_count)
     init = StateVector(n, amps)
     goal = PhaseOracle.from_indices(n, goal_idx, label="U_goal")
-    return SearchProblem.with_oracle_goal(init, goal)
+    return SearchProblem(init, Projector.from_oracle(goal))

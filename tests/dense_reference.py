@@ -39,16 +39,20 @@ def complete_to_invertible(a: Subspace, rng: np.random.Generator) -> LinMap:
 
 
 def amplitude_amplify(p: SearchProblem, T: int) -> StateVector:
-    """T Grover iterations: the goal reflection, the init reflection, and a
-    global sign flip, each applied to the full state."""
+    """T Grover iterations: I - 2 P for the goal projector P, then
+    I - 2 |init><init|, and a global sign flip, each applied to the full
+    state and charged to the goal projector's and the init oracle's counters."""
     if T < 0:
         raise ValueError("iteration count must be nonnegative")
-    s = p.init_state
+    init = p.init_state.amps
+    amps = init
     for _ in range(T):
-        s = p.goal_reflection.apply(s)
-        s = p.init_reflection.apply(s)
-        s = StateVector._wrap(s.n_qubits, -s.amps)
-    return s
+        p.goal_projector.charge_to.charge()
+        amps = amps - 2.0 * p.goal_projector.project(amps)
+        p.init_oracle.charge()
+        amps = amps - 2.0 * np.vdot(init, amps) * init
+        amps = -amps
+    return StateVector._wrap(p.init_state.n_qubits, amps)
 
 
 def measure_restore(

@@ -6,15 +6,15 @@ import statistics
 import numpy as np
 import pytest
 
-from hsmoney import advlab, f2lin, hsmini, money
+from hsmoney import config, f2lin, hsmini, money
 from hsmoney.advlab import (
+    Counterfeiter,
     HaarPairRelation,
     IdleProbe,
     JunkEmitter,
     OracleEchoProbe,
     PlantedCloner,
     SubspaceNeighborRelation,
-    TwoPointUnitary,
     amplification_budget,
     amplify_counterfeiter,
     clone_run,
@@ -26,21 +26,24 @@ from hsmoney.qsim import StateVector, haar_random_state, subspace_state
 
 
 def test_two_point_unitary_maps_and_preserves():
+    # a counterfeiter is the two-point unitary sending |a>|0> to b
     rng = np.random.default_rng(130)
     for _ in range(20):
         a = haar_random_state(4, rng)
-        b = haar_random_state(4, rng)
-        u = TwoPointUnitary(a, b)
-        assert u.apply(a).overlap(b) == pytest.approx(1.0, abs=1e-9)
+        b = haar_random_state(8, rng)
+        c = Counterfeiter(a, b)
+        assert c.apply(a).overlap(b) == pytest.approx(1.0, abs=1e-9)
         # phases agree too, not just overlap
-        assert np.allclose(u.apply(a).amps, b.amps, atol=1e-9)
+        assert np.allclose(c.apply(a).amps, b.amps, atol=1e-9)
         x = haar_random_state(4, rng)
-        y = u.apply(x)
+        y = c.apply(x)
         assert y.norm() == pytest.approx(1.0, abs=1e-9)
-        assert u.apply_inverse(y).overlap(x) == pytest.approx(1.0, abs=1e-9)
         # inner products preserved (unitarity)
         z = haar_random_state(4, rng)
-        assert abs(np.vdot(u.apply(z).amps, y.amps) - np.vdot(z.amps, x.amps)) < 1e-9
+        assert abs(np.vdot(c.apply(z).amps, y.amps) - np.vdot(z.amps, x.amps)) < 1e-9
+        assert c.query_count == 4
+    with pytest.raises(ValueError, match="sizes differ"):
+        c.apply(haar_random_state(3, rng))
 
 
 def test_relation_sampling_properties():
@@ -91,7 +94,7 @@ def test_planted_cloner_pass_rate_exact():
     target = subspace_state(a)
     for pass2 in (0.1, 0.2, 0.5, 1.0):
         c = PlantedCloner(target, pass2)
-        out = c.apply(target.tensor(StateVector.basis(8, 0)))
+        out = c.apply(target)
         assert target.tensor(target).overlap(out) ** 2 == pytest.approx(pass2, abs=1e-9)
 
 
@@ -123,7 +126,7 @@ def test_amplify_never_decreases_pass_rate():
     for _ in range(trials):
         note = scheme.bank(rng)
         c = PlantedCloner(scheme.target_state(note.serial), 0.3)
-        init = c.apply(note.state.tensor(StateVector.basis(6, 0)))
+        init = c.apply(note.state)
         raw += money.verify2(scheme, note.serial, init, rng)
         c2 = PlantedCloner(scheme.target_state(note.serial), 0.3)
         res = amplify_counterfeiter(c2, scheme, note, 0.3, 0.05, rng)
@@ -131,6 +134,29 @@ def test_amplify_never_decreases_pass_rate():
     sigma = math.sqrt(trials * 0.25)
     assert amped >= raw - 2 * sigma
     assert amped / trials >= 0.9
+
+
+def test_amplify_fixed_point_charges_each_restore():
+    # a goal measurement is a double verification (two verifier queries);
+    # a restore costs one C, one C inverse and one verifier query
+    rng = np.random.default_rng(147)
+    scheme = hsmini.HsMiniScheme(hsmini.OracleBundle(6, rng))
+    eps, delta = 0.2, 0.05  # delta < 2 sqrt(eps): the fixed-point branch
+    for _ in range(20):
+        note = scheme.bank(rng)
+        c = PlantedCloner(scheme.target_state(note.serial), eps)
+        res = amplify_counterfeiter(c, scheme, note, eps, delta, rng)
+        restores = res.rounds - res.converged
+        assert c.query_count == 1 + 2 * restores
+        assert res.queries == c.query_count + 2 * res.rounds + restores
+    # a junk emitter never passes, so it uses every round and restores each
+    budget = math.ceil(math.log(1 / delta) / (config.FIXED_POINT_RATE * math.sqrt(eps) ** 2))
+    c = JunkEmitter(scheme.target_state(note.serial))
+    with pytest.warns(RuntimeWarning):
+        res = amplify_counterfeiter(c, scheme, note, eps, delta, rng)
+    assert (res.rounds, res.converged) == (budget, False)
+    assert c.query_count == 1 + 2 * budget
+    assert res.queries == c.query_count + 3 * budget
 
 
 def test_amplify_perfect_cloner_trivial():

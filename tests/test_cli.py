@@ -230,6 +230,10 @@ def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
           for cmd, out in (("attack-d1", []), ("mint-explicit", ["--out", "unused"]))
           for beta in ("inf", "nan", "-1", "0")],
         ["run", "attack-d1", "--trials", "2", "--workers", "1", "--out", "no/such/dir/r.jsonl"],
+        # delta must lie in (0, 1), before log(1/delta) or the schedule reads it
+        *[["run", "amplify-counterfeiter", "--trials", "1", "--workers", "1", *delta]
+          for delta in (["--delta", "0"], ["--delta", "nan"], ["--delta", "-1"],
+                        ["--eps", "0.9", "--delta", "1.5"])],
     ],
     ids=" ".join,
 )

@@ -1,4 +1,4 @@
-"""Every name a module of src/hsmoney imports is used in that module.
+"""Every name a module of src/hsmoney or tests imports is used in that module.
 
 A stdlib `ast` check, so it runs without a linter installed. Names inside
 string constants count as used, which covers quoted annotations.
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hsmoney"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hsmoney"
 
 
 def unused_imports(source: str) -> list:
@@ -39,6 +40,10 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["Tuple (line 1)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

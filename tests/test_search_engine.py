@@ -17,8 +17,9 @@ import pytest
 import dense_reference
 from hsmoney import advlab, config, f2lin, hsmini, search
 from hsmoney.qsim import (
+    CountedOracle,
+    Projector,
     ReflectAboutState,
-    StateVector,
     fidelity_to_goal,
     haar_random_state,
     subspace_state,
@@ -49,7 +50,7 @@ def _run_both(monkeypatch, seed, fn):
 
 
 def _counters(p: search.SearchProblem) -> dict:
-    return {"goal": p.goal_reflection.query_count, "init": p.init_reflection.query_count}
+    return {"goal": p.goal_projector.charge_to.query_count, "init": p.init_oracle.query_count}
 
 
 def _grover_counts(eps: float):
@@ -76,7 +77,7 @@ def test_measure_restore_planted_mask_goal(monkeypatch, n, overlap):
     def fn(rng):
         p = search.planted_problem(n, overlap, rng)
         s, rounds, hit = search.measure_restore(
-            p.goal_projector, p.init_state, budget, rng, charge_to=p.init_reflection
+            p.goal_projector, p.init_state, budget, rng, charge_to=p.init_oracle
         )
         return s, {"rounds": rounds, "hit": hit, **_counters(p)}
 
@@ -91,8 +92,8 @@ def _doubled_problem(rng, n, counterfeiter):
     note = scheme.bank(rng)
     target = scheme.target_state(note.serial)
     c = counterfeiter(target)
-    init = c.apply(note.state.tensor(StateVector.basis(n, 0)))
-    return search.SearchProblem.with_state_goal(init, target.tensor(target))
+    goal = Projector.onto_state(target.tensor(target), charge_to=CountedOracle("U_goal"))
+    return search.SearchProblem(c.apply(note.state), goal)
 
 
 COUNTERFEITERS = {
@@ -168,7 +169,7 @@ def test_amplify_counterfeiter_state(monkeypatch, kind):
     def fn(rng):
         target = haar_random_state(4, rng)
         c = COUNTERFEITERS[kind](target)
-        doubled = c.apply(target.tensor(StateVector.basis(4, 0)))
+        doubled = c.apply(target)
         s, rounds = advlab.amplify_counterfeiter_state(doubled, target, 0.2, 0.05, rng)
         return s, {"rounds": rounds}
 
