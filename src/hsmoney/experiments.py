@@ -785,6 +785,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     return spec.runner(resolved)
 
 
+# eps is a noise rate where serials are noisy polynomial systems and the base
+# completeness error in completeness-amplification; elsewhere it is an
+# overlap or a pass rate. NaN fails every comparison.
+_NOISE_RATE = ("[0, 1)", lambda eps: 0 <= eps < 1)
+_EPS_RANGES: Dict[str, tuple] = {
+    "verify-roundtrip": _NOISE_RATE,
+    "explicit-mint-verify": _NOISE_RATE,
+    "attack-d1": _NOISE_RATE,
+    "completeness-amplification": ("(0, 1/2)", lambda eps: 0 < eps < 0.5),
+}
+_EPS_OVERLAP = ("(0, 1]", lambda eps: 0 < eps <= 1)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.n is not None and cfg.n > config.qubit_cap():
         raise ValueError(f"n={cfg.n} exceeds the simulator cap {config.qubit_cap()}")
@@ -794,3 +807,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValueError("trials must be positive")
     if cfg.delta is not None and not 0 < cfg.delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    interval, in_range = _EPS_RANGES.get(cfg.experiment, _EPS_OVERLAP)
+    if cfg.eps is not None and not in_range(cfg.eps):
+        raise ValueError(f"eps must lie in {interval}, got {cfg.eps}")

@@ -37,9 +37,10 @@ class Banknote:
 class MiniScheme:
     """Bank/Ver pair issuing (serial, money state) banknotes.
 
-    Subclasses set `n` (qubits per money state) and `completeness_error`.
-    Projective schemes return their rank-1 target from `target_state`;
-    `classical_accept` lets wrappers add classical accept/reject coins.
+    Subclasses set `n` (qubits per money state) and `completeness_error`, and
+    implement `bank` and `verify_post`. Projective schemes return their
+    rank-1 target from `target_state`; `classical_accept` lets wrappers add
+    classical accept/reject coins.
     """
 
     n: int
@@ -58,15 +59,18 @@ class MiniScheme:
     def verify_post(
         self, serial: bytes, state: StateVector, rng: np.random.Generator
     ) -> Tuple[bool, StateVector]:
-        target = self.target_state(serial)
-        if target is None:
-            return False, state
-        ok, post, _ = measure_projector(Projector.onto_state(target), state, rng)
-        return ok and self.classical_accept(rng), post
+        raise NotImplementedError
 
     def verify(self, serial: bytes, state: StateVector, rng: np.random.Generator) -> bool:
         ok, _ = self.verify_post(serial, state, rng)
         return ok
+
+    def verify_all(
+        self, serials: Sequence[bytes], states: Sequence[StateVector], rng: np.random.Generator
+    ) -> int:
+        """How many of the (serial, state) pairs `verify` accepts, verified
+        one after another in index order."""
+        return sum(self.verify(serial, state, rng) for serial, state in zip(serials, states))
 
 
 JointInput = Union[StateVector, Tuple[StateVector, StateVector]]
@@ -82,23 +86,31 @@ def _as_joint(m: MiniScheme, states: JointInput) -> StateVector:
 def verify2(
     m: MiniScheme, serial: bytes, states: JointInput, rng: np.random.Generator
 ) -> bool:
-    ok, _ = verify2_post(m, serial, states, rng)
+    # the accept bit only: the second measurement builds no post state
+    ok, _ = verify2_post(m, serial, states, rng, keep_post=False)
     return ok
 
 
 def verify2_post(
-    m: MiniScheme, serial: bytes, states: JointInput, rng: np.random.Generator
-) -> Tuple[bool, StateVector]:
-    """Double verifier: both single verifications, sequential on the joint state."""
+    m: MiniScheme,
+    serial: bytes,
+    states: JointInput,
+    rng: np.random.Generator,
+    keep_post: bool = True,
+) -> Tuple[bool, Optional[StateVector]]:
+    """Double verifier: both single verifications, sequential on the joint
+    state. With `keep_post=False` the post state after the second, which
+    only the caller could read, is not built and None stands in for it; the
+    draws are the same."""
     target = m.target_state(serial)
     if target is None:
         raise ValueError("double verification needs a projective scheme")
     joint = _as_joint(m, states)
     ok1, amps = measure_register(joint.amps, target, rng)
     ok1 = ok1 and m.classical_accept(rng)
-    ok2, amps = measure_register(amps, target, rng, top=True)
+    ok2, amps = measure_register(amps, target, rng, top=True, keep_post=keep_post)
     ok2 = ok2 and m.classical_accept(rng)
-    return ok1 and ok2, StateVector._wrap(joint.n_qubits, amps)
+    return ok1 and ok2, StateVector._wrap(joint.n_qubits, amps) if keep_post else None
 
 
 def _h(data: bytes) -> bytes:
@@ -343,7 +355,19 @@ class WrappedAsMini(MiniScheme):
 
 
 class ArtificiallyNoisyScheme(MiniScheme):
-    """Wrap a projective scheme with an extra classical rejection coin."""
+    """Wrap a projective scheme with an extra classical rejection coin.
+
+    Verification measures {|t><t|, I - |t><t|} for the base scheme's target
+    t and, on acceptance, tosses the coins of `classical_accept`; an unissued
+    serial rejects without a draw. `verify_all` is the boolean verifier: it
+    takes every p_i = |<t_i|psi_i>|^2 of a batch from one contraction of the
+    stacked amplitudes, then makes each sub-note's draws in index order, one
+    uniform against p_i and the coins only on acceptance, as one measurement
+    after another would. `verify` is its one-note case. The conjugated
+    targets of the last serial tuple are kept, k 2^n complex values, the
+    size of the note itself: threshold repetition verifies one composite
+    note many times.
+    """
 
     def __init__(self, base: MiniScheme, extra_reject: float):
         if not 0 <= extra_reject < 1:
@@ -352,6 +376,46 @@ class ArtificiallyNoisyScheme(MiniScheme):
         self.extra_reject = extra_reject
         self.n = base.n
         self.completeness_error = 1 - (1 - base.completeness_error) * (1 - extra_reject)
+        # (serials, issued flags, conjugated targets one row each)
+        self._stacked: Tuple[Tuple[bytes, ...], List[bool], np.ndarray] = ((), [], np.zeros((0, 1 << self.n)))
+
+    def _stacked_targets(self, serials: Tuple[bytes, ...]) -> Tuple[List[bool], np.ndarray]:
+        if self._stacked[0] != serials:
+            targets = [self.target_state(serial) for serial in serials]
+            conj = np.zeros((len(serials), 1 << self.n), dtype=np.complex128)
+            for row, target in zip(conj, targets):
+                if target is not None:
+                    np.conjugate(target.amps, out=row)
+            self._stacked = (serials, [t is not None for t in targets], conj)
+        return self._stacked[1:]
+
+    def verify_all(
+        self, serials: Sequence[bytes], states: Sequence[StateVector], rng: np.random.Generator
+    ) -> int:
+        # pairs as zip makes them: a note with more serials than states, or
+        # the reverse, is verified on its paired sub-notes only
+        m = min(len(serials), len(states))
+        if m == 0:
+            return 0
+        issued, conj = self._stacked_targets(tuple(serials[:m]))
+        overlaps = np.einsum("ij,ij->i", conj, np.stack([s.amps for s in states[:m]]))
+        total = 0
+        for ok, prob in zip(issued, (np.abs(overlaps) ** 2).tolist()):
+            if ok and rng.random() < prob and self.classical_accept(rng):
+                total += 1
+        return total
+
+    def verify(self, serial: bytes, state: StateVector, rng: np.random.Generator) -> bool:
+        return self.verify_all((serial,), (state,), rng) == 1
+
+    def verify_post(
+        self, serial: bytes, state: StateVector, rng: np.random.Generator
+    ) -> Tuple[bool, StateVector]:
+        target = self.target_state(serial)
+        if target is None:
+            return False, state
+        ok, post, _ = measure_projector(Projector.onto_state(target), state, rng)
+        return ok and self.classical_accept(rng), post
 
     def bank(self, rng: np.random.Generator) -> Banknote:
         return self.base.bank(rng)
@@ -408,11 +472,8 @@ class CompositeScheme:
         return self.count_accepts(note, rng) >= self.threshold
 
     def count_accepts(self, note: CompositeNote, rng: np.random.Generator) -> int:
-        total = 0
-        for serial, state in zip(note.serials, note.states):
-            if self.base.verify(serial, state, rng):
-                total += 1
-        return total
+        """How many sub-notes the base scheme accepts, in index order."""
+        return self.base.verify_all(note.serials, note.states, rng)
 
     def verify2(
         self,

@@ -340,18 +340,27 @@ def verify_two_basis(
 
 
 def measure_register(
-    joint: np.ndarray, target: StateVector, rng: np.random.Generator, top: bool = False
-) -> Tuple[bool, np.ndarray]:
+    joint: np.ndarray,
+    target: StateVector,
+    rng: np.random.Generator,
+    top: bool = False,
+    keep_post: bool = True,
+) -> Tuple[bool, Optional[np.ndarray]]:
     """Born-rule measurement of |t><t| on one n-qubit register of a larger
     pure state: the low n qubits, or with `top` the top n qubits. Returns the
-    outcome and the normalized post-measurement amplitudes."""
+    outcome and the normalized post-measurement amplitudes; with
+    `keep_post=False` the post state is not built and None stands in for it,
+    after the same draw."""
     t = target.amps
     if top:
         c = t.conj() @ joint.reshape(len(t), -1)
     else:
         c = joint.reshape(-1, len(t)) @ t.conj()
     prob = min(max(float(np.vdot(c, c).real), 0.0), 1.0)
-    if rng.random() < prob:
+    accepted = rng.random() < prob
+    if not keep_post:
+        return accepted, None
+    if accepted:
         cn = c / np.sqrt(prob)
         return True, (np.outer(t, cn) if top else np.outer(cn, t)).reshape(-1)
     rest = joint - (np.outer(t, c) if top else np.outer(c, t)).reshape(-1)

@@ -8,6 +8,9 @@ completion here row-reduces every candidate from scratch;
 `hsmoney.f2lin.complete_to_invertible` keeps an incremental reduced basis.
 The Walsh-Hadamard transform here is one radix-2 butterfly per qubit;
 `hsmoney.qsim.walsh_hadamard_raw` takes four qubits per `matmul` pass.
+Threshold repetition here measures each rank-1 sub-note on its own;
+`hsmoney.money.ArtificiallyNoisyScheme.verify_all` takes every acceptance
+probability of a composite note from one stacked contraction.
 """
 
 from typing import List, Tuple
@@ -85,3 +88,19 @@ def walsh_hadamard_butterfly(amps: np.ndarray) -> np.ndarray:
         h = h.reshape(-1)
     h *= 2 ** (-n / 2)
     return h
+
+
+def count_rank1_accepts(scheme, serials, states, rng: np.random.Generator) -> int:
+    """Sub-notes accepted by a rank-1 scheme, one after another in index
+    order: a Born-rule measurement of the projector onto the serial's target
+    state, post state included, then the scheme's classical coins on
+    acceptance. An unissued serial rejects without a draw."""
+    total = 0
+    for serial, state in zip(serials, states):
+        target = scheme.target_state(serial)
+        if target is None:
+            continue
+        ok, _, _ = measure_projector(Projector.onto_state(target), state, rng)
+        if ok and scheme.classical_accept(rng):
+            total += 1
+    return total

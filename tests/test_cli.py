@@ -1,5 +1,6 @@
 """CLI surface: catalog, experiment dispatch, mint/verify flows, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -243,3 +244,24 @@ def test_invalid_sizes_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, eps",
+    [
+        *[(experiment, eps)
+          for experiment in ("fixed-point-monotone", "hybrid-search-budget",
+                             "amplify-counterfeiter", "completeness-amplification")
+          for eps in ("0", "nan", "inf")],
+        ("completeness-amplification", "0.7"),  # base completeness error past 1/2
+        ("explicit-mint-verify", "-0.1"),  # a noise rate may be 0, not below
+    ],
+)
+def test_out_of_range_eps_is_a_usage_error_before_any_trial(monkeypatch, capsys, experiment, eps):
+    def runner(cfg):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(CATALOG, experiment, dataclasses.replace(CATALOG[experiment], runner=runner))
+    assert main(["run", experiment, "--trials", "1", "--workers", "1", "--eps", eps]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: eps must lie in ")

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from hsmoney import f2lin, hsmini, money, qsim
+import dense_reference
+from hsmoney import experiments, f2lin, hsmini, money, qsim
 from hsmoney.money import (
     ArtificiallyNoisyScheme,
     ComposedScheme,
@@ -100,6 +101,24 @@ def test_verify2_joint_register_equivalent(scheme):
     ok, post = verify2_post(m, note.serial, joint, rng)
     assert ok
     assert post.overlap(joint) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("second", ["honest", "half-overlap", "orthogonal"])
+def test_verify2_is_verify2_post_without_the_post_state(scheme, second):
+    m, rng = scheme
+    noisy = ArtificiallyNoisyScheme(m, extra_reject=0.2)
+    note = m.bank(rng)
+    junk = _orthogonal_junk(m, note)
+    other = {"honest": note.state, "orthogonal": junk,
+             "half-overlap": StateVector(m.n, (note.state.amps + junk.amps) / math.sqrt(2))}[second]
+    for scheme_ in (m, noisy):
+        for pair in ((note.state, other), (other, note.state)):
+            for seed in range(20):
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                ok, post = verify2_post(scheme_, note.serial, pair, rng_a)
+                assert verify2(scheme_, note.serial, pair, rng_b) == ok
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+                assert post.n_qubits == 2 * m.n
 
 
 def test_lamport_roundtrip_and_rejection():
@@ -303,3 +322,147 @@ def test_composite_reduction_attempt_shapes(scheme):
     serial, s1, s2 = composite_reduction_attempt(comp, cheat_counterfeiter, target, rng)
     assert serial == target.serial
     assert verify2(m, serial, (s1, s2), rng)
+
+
+def _noisy_composite(k, extra_reject=0.2, seed=64):
+    rng = np.random.default_rng(seed)
+    base = hsmini.HsMiniScheme(hsmini.OracleBundle(8, rng))
+    noisy = ArtificiallyNoisyScheme(base, extra_reject=extra_reject)
+    return base, noisy, CompositeScheme(noisy, k=k, eta=0.1), rng
+
+
+def _junk(base, serial, member):
+    # a basis state in the serial's subspace (p = 2^(-n/2)) or outside it (p = 0)
+    sub = base.bundle.lookup(serial).subspace
+    return StateVector.basis(base.n, next(x for x in range(1, 1 << base.n) if sub.contains(x) == member))
+
+
+def _rank1_notes():
+    base, noisy, comp, rng = _noisy_composite(k=12)
+    honest = comp.bank(rng)
+    serials, states = honest.serials, honest.states
+    mixed = [states[0], _junk(base, serials[1], True), qsim.haar_random_state(8, rng),
+             _junk(base, serials[3], False)] * 3
+    unissued = bytes(len(serials[0]))
+    assert base.bundle.lookup(unissued) is None
+    return noisy, comp, {
+        "honest": honest,
+        "mixed": CompositeNote(serials, tuple(mixed)),
+        "junk-members": CompositeNote(serials, tuple(_junk(base, s, True) for s in serials)),
+        "p-zero": CompositeNote(serials, states[:5] + (_junk(base, serials[5], False),) + states[6:]),
+        "unissued": CompositeNote((unissued,) + serials[1:], states),
+        "empty": CompositeNote((), ()),
+        "fewer-states": CompositeNote(serials, states[:5]),
+        "fewer-serials": CompositeNote(serials[:5], states),
+        "one-state-repeated-serial": CompositeNote((serials[0],) * len(serials), states[:1]),
+    }
+
+
+@pytest.mark.parametrize("case", ["honest", "mixed", "junk-members", "p-zero", "unissued", "empty",
+                                  "fewer-states", "fewer-serials", "one-state-repeated-serial"])
+def test_stacked_rank1_pass_matches_the_per_note_measurements(case):
+    noisy, comp, notes = _rank1_notes()
+    note = notes[case]
+    for seed in range(25):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = comp.count_accepts(note, rng_a)
+        assert got == dense_reference.count_rank1_accepts(noisy, note.serials, note.states, rng_b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    if case in ("empty", "one-state-repeated-serial"):
+        # only paired sub-notes are measured: one genuine state cannot stand
+        # for every slot of a note that repeats its serial
+        assert all(comp.count_accepts(note, np.random.default_rng(seed)) <= 1 for seed in range(25))
+        assert not comp.verify(note, np.random.default_rng(0))
+    if case == "unissued":
+        # an unissued serial rejects without a draw
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert noisy.verify(note.serials[0], note.states[0], rng) is False
+        assert rng.bit_generator.state == before
+
+
+def test_single_rank1_verify_is_the_one_note_stacked_pass():
+    noisy, _, notes = _rank1_notes()
+    note = notes["mixed"]
+    for seed in range(10):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [noisy.verify(s, st, rng_a) for s, st in zip(note.serials, note.states)]
+        want = [dense_reference.count_rank1_accepts(noisy, [s], [st], rng_b) == 1
+                for s, st in zip(note.serials, note.states)]
+        assert got == want
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_composite_over_the_circuit_verifier_keeps_its_draws(k):
+    rng = np.random.default_rng(65)
+    base = hsmini.HsMiniScheme(hsmini.OracleBundle(8, rng))
+    comp = CompositeScheme(base, k=k, eta=1e-6)
+    honest = comp.bank(rng)
+    notes = [honest, CompositeNote(honest.serials, tuple(_junk(base, s, True) for s in honest.serials))]
+    for note in notes:
+        for seed in range(10):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            queries = base.bundle.subspace_queries
+            got = comp.count_accepts(note, rng_a)
+            assert base.bundle.subspace_queries - queries == 2 * k
+            assert got == sum(base.verify(s, st, rng_b) for s, st in zip(note.serials, note.states))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_composite_over_a_wrapped_scheme_checks_signatures_first(scheme):
+    m, rng = scheme
+    wrapper = WrappedAsMini(ComposedScheme(m, LamportMerkleSigner(tree_height=2)))
+    comp = CompositeScheme(wrapper, k=3, eta=1e-6)
+    honest = comp.bank(rng)
+    pk, inner, sig = WrappedAsMini._unpack(honest.serials[1])
+    forged = WrappedAsMini._pack([pk, inner, bytes([sig[0] ^ 1]) + sig[1:]])
+    notes = [
+        honest,
+        CompositeNote((honest.serials[0], forged, honest.serials[2]), honest.states),
+        CompositeNote(honest.serials, (honest.states[0], StateVector.basis(m.n, 0), honest.states[2])),
+    ]
+    for note, accepts in zip(notes, (3, 2, None)):
+        for seed in range(10):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = comp.count_accepts(note, rng_a)
+            assert got == sum(wrapper.verify(s, st, rng_b) for s, st in zip(note.serials, note.states))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            assert accepts is None or got == accepts
+
+
+def test_stacked_targets_memo_holds_the_last_serial_tuple():
+    base, noisy, comp, rng = _noisy_composite(k=6, extra_reject=0.0)
+    a, b = comp.bank(rng), comp.bank(rng)
+    comp.count_accepts(a, rng)
+    assert noisy._stacked[0] == a.serials
+    comp.count_accepts(b, rng)
+    assert noisy._stacked[0] == b.serials
+    assert noisy._stacked[2].nbytes == 6 * (1 << 8) * 16
+    # equal serials, other states: the probabilities are taken afresh
+    junk = CompositeNote(b.serials, tuple(_junk(base, s, False) for s in b.serials))
+    assert comp.count_accepts(b, rng) == 6
+    assert comp.count_accepts(junk, rng) == 0
+    assert comp.count_accepts(b, rng) == 6
+
+
+def test_reduction_notes_build_their_stacked_targets_once(monkeypatch):
+    # the completeness note, then 200 reduction notes each verified twice
+    builds = []
+    stacked_targets = ArtificiallyNoisyScheme._stacked_targets
+
+    def spy(self, serials):
+        memo = self._stacked
+        out = stacked_targets(self, serials)
+        if self._stacked is not memo:
+            builds.append((serials, self._stacked[2].nbytes))
+        return out
+
+    monkeypatch.setattr(ArtificiallyNoisyScheme, "_stacked_targets", spy)
+    cfg = experiments.ExperimentConfig(
+        experiment="completeness-amplification", n=8, eps=0.2, k=60, eta=0.1, trials=3, seed=113,
+    )
+    experiments.run_experiment(cfg)
+    assert len(builds) == 1 + 200
+    assert len({serials for serials, _ in builds}) == 201
+    assert all(nbytes == 60 * (1 << 8) * 16 for _, nbytes in builds)
