@@ -58,7 +58,3 @@ HYBRID_QUERY_K = 250.0
 # Calibrated budget constant for counterfeiter amplification: queries
 # <= AMPLIFY_QUERY_K * ln(1/delta) / (sqrt(eps) * (sqrt(eps) + delta^2)).
 AMPLIFY_QUERY_K = 12.0
-
-# Optimized single-qubit cloning channel: derivative-free search restarts.
-CLONER_RESTARTS = 20
-CLONER_TARGET = 0.75

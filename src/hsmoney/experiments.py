@@ -468,11 +468,13 @@ def run_attack_clone(cfg: ExperimentConfig) -> ExperimentOutcome:
     sigma = math.sqrt(max(want * (1 - want), 1e-12) / cfg.trials)
     resend_ok = abs(emp - want) <= 4 * sigma + 1e-6
     opt = privkey.optimize_cloning_channel(rng)
-    opt_ok = abs(opt.value - config.CLONER_TARGET) <= 0.01
+    ceiling = float(privkey.certify_cloning_ceiling())
+    opt_ok = abs(opt.value - ceiling) <= 0.01 and opt.value <= ceiling + 1e-12
     records = [
         {"kind": "measure-resend-per-qubit", "exact": float(exact)},
         {"kind": "measure-resend-empirical", "n": n, "rate": emp, "expected": want},
-        {"kind": "optimized-channel", "value": opt.value, "restarts": opt.restarts_used},
+        # one start, no restarts; the field keeps the record's layout
+        {"kind": "optimized-channel", "value": opt.value, "restarts": 1},
     ]
     return ExperimentOutcome(
         records,
@@ -797,6 +799,29 @@ _EPS_RANGES: Dict[str, tuple] = {
 }
 _EPS_OVERLAP = ("(0, 1]", lambda eps: 0 < eps <= 1)
 
+# Longest search schedule an eps promise may set: fixed-point rounds run one
+# at a time in Python, and the hybrid draws T from {0..L} in int64.
+_SCHEDULE_CAP = 1 << 24
+
+
+def _schedule_steps(cfg: ExperimentConfig) -> float:
+    """The longest schedule cfg.eps sets (fixed-point rounds, or the hybrid's
+    L), as a float that overflows to inf instead of raising; 0 where eps sets
+    no schedule."""
+    if cfg.experiment == "hybrid-search-budget":
+        return config.HYBRID_L_NUMERATOR / math.asin(cfg.eps)
+    if cfg.experiment == "fixed-point-monotone":
+        return math.log(1 / cfg.delta) / config.FIXED_POINT_RATE / cfg.eps / cfg.eps
+    if cfg.experiment == "amplify-counterfeiter":
+        # fixed-point rounds at fidelity sqrt(eps), or the hybrid backend's L
+        return max(math.log(1 / cfg.delta) / config.FIXED_POINT_RATE / cfg.eps,
+                   config.HYBRID_L_NUMERATOR / math.asin(math.sqrt(cfg.eps)))
+    return 0.0
+
+
+# k is the swap-out attacks' sample count per candidate there
+_K_SAMPLES = ("attack-adaptive", "keyed-contrast")
+
 
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.n is not None and cfg.n > config.qubit_cap():
@@ -810,3 +835,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     interval, in_range = _EPS_RANGES.get(cfg.experiment, _EPS_OVERLAP)
     if cfg.eps is not None and not in_range(cfg.eps):
         raise ValueError(f"eps must lie in {interval}, got {cfg.eps}")
+    if cfg.eps is not None and not _schedule_steps(cfg) <= _SCHEDULE_CAP:
+        raise ValueError(
+            f"eps={cfg.eps} is too small: with delta={cfg.delta} it sets a search "
+            f"schedule of {_schedule_steps(cfg):.3g} steps, above the cap of {_SCHEDULE_CAP}"
+        )
+    if cfg.experiment in _K_SAMPLES and cfg.k is not None and cfg.k < 1:
+        raise ValueError(f"k (samples per candidate) must be at least 1, got {cfg.k}")

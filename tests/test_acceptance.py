@@ -239,23 +239,26 @@ def test_c11_wiesner_figures():
     rng = np.random.default_rng(111)
     opt = privkey.optimize_cloning_channel(rng)
     opt_ok = abs(opt.value - 0.75) <= 0.01
+    ceiling = privkey.certify_cloning_ceiling()
+    ceiling_ok = ceiling == Fraction(3, 4) and opt.value <= ceiling + 1e-12
 
     cfg = ExperimentConfig(experiment="attack-adaptive", n=16, k=24, trials=100,
                            seed=111, workers=WORKERS)
     outcome = run_experiment(cfg)
     s = outcome.summary
     adaptive_ok = s["recovery_rate"] >= 0.9 and s["queries_per_attack"] == 16 * 4 * 24
-    ok = resend_ok and opt_ok and adaptive_ok
+    ok = resend_ok and opt_ok and ceiling_ok and adaptive_ok
     _report(
         "C11 wiesner-figures",
         ok,
         f"measure-and-resend per qubit = {exact} (exact 5/8); optimized cloner "
-        f"{opt.value:.4f} within 0.75 +- 0.01 ({opt.restarts_used} restarts); "
+        f"{opt.value:.4f} within 0.75 +- 0.01, exact ceiling {ceiling}; "
         f"adaptive recovery {s['recovery_rate']:.2f} >= 0.9 in "
         f"{s['queries_per_attack']} = 4 n ceil(8 log2(4n))-ish queries",
     )
     assert resend_ok
     assert opt_ok
+    assert ceiling_ok
     assert adaptive_ok
 
 

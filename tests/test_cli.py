@@ -265,3 +265,36 @@ def test_out_of_range_eps_is_a_usage_error_before_any_trial(monkeypatch, capsys,
     assert main(["run", experiment, "--trials", "1", "--workers", "1", "--eps", eps]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: eps must lie in ")
+
+
+@pytest.mark.parametrize(
+    "experiment, eps",
+    [(experiment, eps)
+     for experiment in ("fixed-point-monotone", "hybrid-search-budget", "amplify-counterfeiter")
+     # eps ** 2 underflows, 1/eps overflows int64, 1/eps is inf, the schedule passes 2^24
+     for eps in ("1e-300", "1e-20", "5e-324", "1e-9")],
+)
+def test_eps_setting_an_endless_schedule_is_a_usage_error_before_any_trial(
+    monkeypatch, capsys, experiment, eps
+):
+    def runner(cfg):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(CATALOG, experiment, dataclasses.replace(CATALOG[experiment], runner=runner))
+    assert main(["run", experiment, "--trials", "1", "--workers", "1", "--eps", eps]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: eps={float(eps)} is too small")
+
+
+@pytest.mark.parametrize("experiment", ["attack-adaptive", "keyed-contrast"])
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_zero_samples_per_candidate_is_a_usage_error_before_any_trial(
+    monkeypatch, capsys, experiment, k
+):
+    def runner(cfg):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(CATALOG, experiment, dataclasses.replace(CATALOG[experiment], runner=runner))
+    assert main(["run", experiment, "--trials", "1", "--workers", "1", "--k", k]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: k (samples per candidate) must be at least 1")

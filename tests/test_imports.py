@@ -1,10 +1,14 @@
-"""Every name a module of src/hsmoney or tests imports is used in that module.
+"""Every name a module of src/hsmoney or tests imports is used in that module,
+and starting the program imports no scipy.
 
 A stdlib `ast` check, so it runs without a linter installed. Names inside
 string constants count as used, which covers quoted annotations.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,11 @@ def test_the_check_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_startup_imports_no_scipy():
+    # scipy.optimize alone took about 0.5 s of each process start
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, hsmoney.cli, hsmoney.experiments; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -134,6 +134,60 @@ def test_optimized_cloner_reaches_three_quarters():
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-8)
 
 
+def test_polar_ascent_reaches_three_quarters_from_every_start():
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        res = privkey.optimize_cloning_channel(rng)
+        assert abs(res.value - 0.75) <= 1e-9, seed
+        assert res.value == privkey._cloner_score(res.isometry, 2)
+        v = res.isometry
+        assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 1e-10, seed
+
+
+def test_polar_ascent_draws_one_start_and_nothing_else():
+    rng = np.random.default_rng(21)
+    privkey.optimize_cloning_channel(rng)
+    reference = np.random.default_rng(21)
+    reference.normal(size=32)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _choi(v: np.ndarray, ancilla: int) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| x Tr_anc(V |i><j| V^dag) of the channel of V."""
+    cols = v.reshape(4, ancilla, 2)  # (copies, ancilla, input)
+    return np.einsum("pai,qaj->ipjq", cols, cols.conj()).reshape(8, 8)
+
+
+def test_cloning_objective_choi_is_the_cloner_score():
+    q = np.array(privkey.cloning_objective_choi(), dtype=float)
+    assert all(x.denominator <= 16 for row in privkey.cloning_objective_choi() for x in row)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        v = privkey._isometry_from_params(rng.normal(size=32), 8)
+        assert abs(np.trace(q @ _choi(v, 2)).real - privkey._cloner_score(v, 2)) <= 1e-12
+    v = privkey.optimize_cloning_channel(rng).isometry
+    assert abs(np.trace(q @ _choi(v, 2)).real - 0.75) <= 1e-12
+
+
+def test_cloning_ceiling_is_certified_exactly():
+    assert privkey.certify_cloning_ceiling() == Fraction(3, 4)
+    # 3/8 is the largest eigenvalue of Q: any smaller multiple of I fails
+    for y in (Fraction(5, 16), Fraction(3, 8) - Fraction(1, 2 ** 40)):
+        with pytest.raises(ValueError, match="not PSD"):
+            privkey.certify_cloning_ceiling(y)
+    assert privkey.certify_cloning_ceiling(Fraction(1, 2)) == 1
+
+
+def test_exact_psd_check():
+    f = Fraction
+    assert privkey._is_psd_exact([[f(1), f(1)], [f(1), f(1)]])
+    assert not privkey._is_psd_exact([[f(1), f(2)], [f(2), f(1)]])
+    # a zero pivot with a nonzero row is indefinite
+    assert not privkey._is_psd_exact([[f(0), f(1)], [f(1), f(1)]])
+    assert privkey._is_psd_exact([[f(0), f(0)], [f(0), f(0)]])
+    assert not privkey._is_psd_exact([[f(-1, 3)]])
+
+
 def test_keyed_bank_determinism_and_completeness():
     rng = np.random.default_rng(118)
     bank = KeyedSubspaceBank(8, b"secret-key")
