@@ -34,7 +34,10 @@ from .qsim import (
     oracle_for_dual_pair,
     subspace_state,
 )
-from .search import SearchParams, SearchProblem, amplitude_amplify, hybrid_search, measure_restore
+from .search import (
+    SearchParams, SearchProblem, amplitude_amplify, fixed_point_rounds, hybrid_search,
+    measure_restore,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +394,7 @@ def amplify_counterfeiter(
     eps_fid = math.sqrt(eps)
     if delta >= 2 * eps_fid:
         return _amplify_hybrid(c, init, goal_state, eps_fid, delta, rng)
-    rounds_budget = max(1, math.ceil(math.log(1 / delta) / (config.FIXED_POINT_RATE * eps_fid ** 2)))
+    rounds_budget = max(1, math.ceil(fixed_point_rounds(eps_fid ** 2, delta)))
     s, rounds, converged = measure_restore(goal, init, rounds_budget, rng)
     restores = rounds - converged
     c.charge(2 * restores)  # one forward and one inverse call per restore
@@ -442,9 +445,7 @@ def amplify_counterfeiter_state(
     most 200 rounds."""
     goal = Projector.onto_state(target.tensor(target))
     eps_fid = math.sqrt(max(eps, 1e-6))
-    budget = min(
-        200, max(1, math.ceil(math.log(1 / delta) / (config.FIXED_POINT_RATE * eps_fid ** 2)))
-    )
+    budget = min(200, max(1, math.ceil(fixed_point_rounds(eps_fid ** 2, delta))))
     s, rounds, _ = measure_restore(goal, doubled, budget, rng)
     return s, rounds
 
@@ -539,6 +540,4 @@ def kcopy_run(n: int, k: int, rng: np.random.Generator) -> int:
 
 
 def kcopy_experiment(n: int, k: int, rng: np.random.Generator, trials: int = 40) -> KCopyReport:
-    if n > config.qubit_cap():
-        raise ValueError("register size exceeds the simulator cap")
     return KCopyReport(n=n, k=k, queries=[kcopy_run(n, k, rng) for _ in range(trials)])

@@ -12,13 +12,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import List, Optional
 
 import numpy as np
 
 from . import f2lin, hsmini, polyhide, privkey
-from .experiments import CATALOG, ExperimentConfig, run_experiment
+from .experiments import CATALOG, ExperimentConfig, configure, run_experiment
 from .qsim import StateVector
 
 EXIT_OK = 0
@@ -36,12 +36,7 @@ def _emit_records(records, out: Optional[str]) -> None:
 
 
 def _emit_report(cfg: ExperimentConfig, outcome, out: Optional[str]) -> None:
-    resolved = cfg.resolved(CATALOG[cfg.experiment].defaults)
-    params = {
-        k: v
-        for k, v in asdict(resolved).items()
-        if k not in ("experiment", "seed", "workers") and v is not None
-    }
+    params = {k: getattr(cfg, k) for k in CATALOG[cfg.experiment].options if getattr(cfg, k) is not None}
     header = {"experiment": cfg.experiment, "seed": cfg.seed, "params": params}
     _emit_records([header] + outcome.records, out)
 
@@ -140,13 +135,15 @@ def _cmd_catalog(_args) -> int:
     width = max(len(k) for k in CATALOG)
     for key in sorted(CATALOG):
         spec = CATALOG[key]
-        defaults = " ".join(f"{k}={v}" for k, v in sorted(spec.defaults.items(), key=str))
+        options = " ".join(f"{k}={'(runner picks)' if o.default is None else o.default}"
+                           for k, o in spec.options.items())
         print(f"{key:<{width}}  {spec.claim}")
-        print(f"{'':<{width}}  defaults: {defaults}")
+        print(f"{'':<{width}}  options: {options}")
     return EXIT_OK
 
 
 def _run_report(cfg: ExperimentConfig, out: Optional[str]) -> int:
+    cfg = configure(cfg)
     outcome = run_experiment(cfg)
     _emit_report(cfg, outcome, out)
     _print_summary(outcome.summary, outcome.ok)

@@ -10,8 +10,9 @@ records are keyed and emitted in trial order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .qsim import StateVector, fidelity_to_goal, hadamard_all, haar_random_state
 class ExperimentConfig:
     experiment: str
     n: Optional[int] = None
-    d: int = 4
+    d: Optional[int] = None
     eps: Optional[float] = None
     beta: Optional[float] = None
     delta: Optional[float] = None
@@ -32,16 +33,24 @@ class ExperimentConfig:
     eta: Optional[float] = None
     trials: Optional[int] = None
     seed: int = 0
-    scheme: str = "hsmini"
-    target: str = "haar"
+    scheme: Optional[str] = None
+    target: Optional[str] = None
     workers: int = 1
 
-    def resolved(self, defaults: Dict) -> "ExperimentConfig":
-        merged = asdict(self)
-        for key, val in defaults.items():
-            if merged.get(key) is None:
-                merged[key] = val
-        return ExperimentConfig(**merged)
+
+# The experiment options; seed and workers say how a run is made, not what it measures.
+OPTIONS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in ("experiment", "seed", "workers"))
+
+Check = Callable[[ExperimentConfig], Optional[str]]  # why a bound refuses its option's value, or None
+
+
+class Option:
+    """An option a runner reads: its default, None where the runner picks the
+    value itself, and its bound, checks that run in declaration order, so a
+    check may read any option declared before its own."""
+
+    def __init__(self, default: object, *checks: Check):
+        self.default, self.checks = default, checks
 
 
 @dataclass
@@ -55,7 +64,7 @@ class ExperimentOutcome:
 class ExperimentSpec:
     id: str
     claim: str
-    defaults: Dict
+    options: Dict[str, Option]
     runner: Callable[[ExperimentConfig], ExperimentOutcome]
 
 
@@ -67,9 +76,10 @@ def _map_trials(
     The trial function, the config and the seed sequence all pickle."""
     seqs = np.random.SeedSequence(cfg.seed).spawn(trials)
     jobs = [(fn, cfg, i, seq) for i, seq in enumerate(seqs)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(_run_trial, jobs, chunksize=max(1, trials // (4 * cfg.workers))))
+    workers = min(cfg.workers, trials, os.cpu_count() or 1)  # the pool forks them all at its first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_trial, jobs, chunksize=max(1, trials // (4 * workers))))
     return [_run_trial(job) for job in jobs]
 
 
@@ -95,11 +105,9 @@ def _mint_and_verify_once(cfg: ExperimentConfig, rng: np.random.Generator) -> bo
         serial, state = bank.mint(rng)
         ok, _ = bank.verify(serial, state, rng)
         return ok
-    if cfg.scheme == "wiesner":
-        bank, note = privkey.wiesner_bank(cfg.n, rng)
-        ok, _ = bank.verify(note.serial, note.qubits, rng)
-        return ok
-    raise ValueError(f"unknown scheme {cfg.scheme!r}")
+    bank, note = privkey.wiesner_bank(cfg.n, rng)  # the scheme bound leaves only wiesner
+    ok, _ = bank.verify(note.serial, note.qubits, rng)
+    return ok
 
 
 def trial_verify_roundtrip(cfg: ExperimentConfig, index: int, rng) -> dict:
@@ -208,7 +216,7 @@ def trial_fixed_point(cfg: ExperimentConfig, index: int, rng) -> dict:
 
 
 def _fixed_point_checkpoints(cfg: ExperimentConfig) -> List[int]:
-    t_target = math.ceil(math.log(1 / cfg.delta) / (config.FIXED_POINT_RATE * cfg.eps ** 2))
+    t_target = math.ceil(search.fixed_point_rounds(cfg.eps ** 2, cfg.delta))
     return sorted({2, max(3, t_target // 4), max(4, t_target // 2), t_target})
 
 
@@ -437,11 +445,10 @@ def run_attack_adaptive(cfg: ExperimentConfig) -> ExperimentOutcome:
     records = _map_trials(cfg, trial_attack_adaptive, cfg.trials)
     rate = sum(r["recovered"] for r in records) / len(records)
     queries = records[0]["queries"]
-    samples = cfg.k or privkey.default_samples_per_candidate(cfg.n)
-    ok = rate >= 0.9 and queries == 4 * cfg.n * samples
+    ok = rate >= 0.9 and queries == 4 * cfg.n * cfg.k
     return ExperimentOutcome(
         records,
-        {"n": cfg.n, "samples_per_candidate": samples, "recovery_rate": rate,
+        {"n": cfg.n, "samples_per_candidate": cfg.k, "recovery_rate": rate,
          "queries_per_attack": queries},
         ok,
     )
@@ -667,178 +674,182 @@ def run_money_end_to_end(cfg: ExperimentConfig) -> ExperimentOutcome:
 
 
 # ---------------------------------------------------------------------------
+# option bounds
+
+# Longest loop an option may set: search rounds run one at a time in Python.
+_SCHEDULE_CAP = 1 << 24
+# Most trials: all their seeds are built first; money-end-to-end signs a note per leaf of 2^16.
+_TRIALS_CAP = 1 << 16
+# Most bytes of a composite note's k dense sub-notes, built as notes and again as stacked targets.
+_NOTES_BYTES_CAP = 1 << 30
+
+
+def _within(name: str, interval: str, test: Callable) -> Check:
+    """name must pass test, which interval describes; NaN fails every comparison."""
+    return lambda cfg: (None if test(getattr(cfg, name))
+                        else f"{name} must lie in {interval}, got {getattr(cfg, name)}")
+
+
+def _count(name: str, lo: int, hi) -> Check:
+    """An integer in [lo, hi]; hi may be a function of the config."""
+    top = hi if callable(hi) else lambda cfg: hi
+    return lambda cfg: _within(name, f"[{lo}, {top(cfg)}]", lambda v: lo <= v <= top(cfg))(cfg)
+
+
+def _qubits(default: Optional[int], hi=lambda cfg: config.qubit_cap(), even: bool = True) -> Option:
+    """n in [2, hi], the widest the runner's registers allow; even where n/2 dimensions are hidden."""
+    parity = [lambda cfg: f"n must be even, got {cfg.n}" if cfg.n % 2 else None] if even else []
+    return Option(default, _count("n", 2, hi), *parity)
+
+
+def _schedule(name: str, steps: Callable[[ExperimentConfig], float]) -> Check:
+    """name is refused when the search schedule it sets runs past _SCHEDULE_CAP steps."""
+    return lambda cfg: None if steps(cfg) <= _SCHEDULE_CAP else (
+        f"{name}={getattr(cfg, name)} is too small: at eps={cfg.eps} and delta={cfg.delta} it sets "
+        f"a search schedule of {steps(cfg):.3g} steps, above the cap of {_SCHEDULE_CAP}")
+
+
+def _amplify_steps(cfg: ExperimentConfig) -> float:
+    """The fixed-point rounds of amplify-counterfeiter, and the hybrid's L and R
+    too where delta >= 2 sqrt(eps) makes advlab.amplify_counterfeiter run it."""
+    fid = math.sqrt(cfg.eps)
+    hybrid = (search.hybrid_draws(fid), search.cleanup_rounds(cfg.delta)) if cfg.delta >= 2 * fid else ()
+    return max((search.fixed_point_rounds(fid ** 2, cfg.delta), *hybrid))
+
+
+def _table_rows(cfg: ExperimentConfig) -> Optional[str]:
+    """ceil(beta n) polynomials of one coefficient byte per point of F_2^n."""
+    return None if cfg.beta * cfg.n <= (1 << config.F2_DIM_CAP) >> cfg.n else (
+        f"beta={cfg.beta} sets ceil(beta n) rows of 2^n coefficient bytes at n={cfg.n}, "
+        f"above the table cap 2^{config.F2_DIM_CAP}")
+
+
+def _samples(cfg: ExperimentConfig) -> Optional[str]:
+    """k, the swap-out attacks' samples per candidate: 4 n k verifications in all."""
+    if cfg.k < 1:
+        return f"k (samples per candidate) must be at least 1, got {cfg.k}"
+    return _count("k", 1, lambda cfg: _SCHEDULE_CAP // (4 * cfg.n))(cfg)
+
+
+_TRIALS = _count("trials", 1, _TRIALS_CAP)
+_D = Option(4, _count("d", 1, config.F2_DIM_CAP))
+_EPS_NOISE = _within("eps", "[0, 1)", lambda v: 0 <= v < 1)  # the share of noisy serial rows
+_EPS_PROMISE = _within("eps", "(0, 1]", lambda v: 0 < v <= 1)  # a promised overlap or pass rate
+_DELTA = _within("delta", "(0, 1)", lambda v: 0 < v < 1)
+_BETA = _within("beta", "(0, inf)", lambda v: 0 < v < math.inf)
+
+
+# ---------------------------------------------------------------------------
 # catalog
 
-
-CATALOG: Dict[str, ExperimentSpec] = {}
-
-
-def _register(spec: ExperimentSpec) -> None:
-    CATALOG[spec.id] = spec
-
-
-_register(ExperimentSpec(
-    "verify-roundtrip",
-    "honest mint-then-verify accepts every time (perfect completeness)",
-    {"n": 10, "trials": 100, "eps": 0.25, "beta": 12.0},
-    run_verify_roundtrip,
-))
-_register(ExperimentSpec(
-    "duality-check",
-    "the full Hadamard transform maps a money state to its dual's state",
-    {"n": 12, "trials": 1000},
-    run_duality_check,
-))
-_register(ExperimentSpec(
-    "verifier-projector",
-    "the project/transform/project/transform circuit equals the rank-1 projector",
-    {"trials": 50},
-    run_verifier_projector,
-))
-_register(ExperimentSpec(
-    "hybrid-search-budget",
-    "randomized amplification + fixed-point clean-up reaches 1-delta within "
-    "K log(1/delta)/(eps delta^2) queries",
-    {"n": 10, "eps": 0.05, "delta": 0.2, "trials": 200},
-    run_hybrid_budget,
-))
-_register(ExperimentSpec(
-    "fixed-point-monotone",
-    "goal fidelity is monotone in rounds and reaches 1-delta within "
-    "ln(1/delta)/(c eps^2) rounds",
-    {"n": 8, "eps": 0.3, "delta": 0.05, "trials": 500},
-    run_fixed_point_monotone,
-))
-_register(ExperimentSpec(
-    "amplify-counterfeiter",
-    "a weak counterfeiter is boosted to near-perfect double-verification",
-    {"n": 8, "eps": 0.2, "delta": 0.05, "trials": 200},
-    run_amplify_counterfeiter,
-))
-_register(ExperimentSpec(
-    "innerprod-progress",
-    "per-query drop of the cross-oracle inner product stays within 4 sqrt(eps)",
-    {"n": 16, "trials": 60},
-    run_innerprod_progress,
-))
-_register(ExperimentSpec(
-    "clone-search",
-    "preparing a verifier's target by search costs about (pi/4) / overlap queries",
-    {"n": 8, "trials": 101, "target": "haar"},
-    run_clone_search,
-))
-_register(ExperimentSpec(
-    "kcopy-scaling",
-    "holding k copies cuts the search cost of copy k+1 by about sqrt(k+1)",
-    {"n": 6, "trials": 101},
-    run_kcopy_scaling,
-))
-_register(ExperimentSpec(
-    "explicit-mint-verify",
-    "noisy polynomial serials verify honest notes perfectly and pin the subspace",
-    {"n": 12, "d": 4, "eps": 0.25, "beta": 12.0, "trials": 500},
-    run_explicit_mint_verify,
-))
-_register(ExperimentSpec(
-    "attack-d1",
-    "degree-1 serials surrender the hidden subspace",
-    {"n": 12, "eps": 0.1, "beta": 6.0, "trials": 200},
-    run_attack_d1,
-))
-_register(ExperimentSpec(
-    "attack-adaptive",
-    "a naive-and-trusting bank leaks one qubit per swap-out batch",
-    {"n": 16, "k": 24, "trials": 100},
-    run_attack_adaptive,
-))
-_register(ExperimentSpec(
-    "attack-clone",
-    "measure-and-resend passes 5/8 per qubit; the optimal channel reaches 3/4",
-    {"n": 8, "trials": 2000},
-    run_attack_clone,
-))
-_register(ExperimentSpec(
-    "keyed-contrast",
-    "the swap-out attack gains no per-qubit signal against keyed subspace notes",
-    {"n": 8, "trials": 1},
-    run_keyed_contrast,
-))
-_register(ExperimentSpec(
-    "completeness-amplification",
-    "threshold repetition drives completeness error down exponentially and "
-    "preserves counterfeiters",
-    {"n": 8, "eps": 0.2, "k": 60, "eta": 0.1, "trials": 10_000},
-    run_completeness_amplification,
-))
-_register(ExperimentSpec(
-    "money-end-to-end",
-    "signed hidden-subspace notes verify honestly and both forgery families reject",
-    {"n": 10, "trials": 1000},
-    run_money_end_to_end,
-))
+CATALOG: Dict[str, ExperimentSpec] = {spec.id: spec for spec in (
+    ExperimentSpec(
+        "verify-roundtrip", "honest mint-then-verify accepts every time (perfect completeness)",
+        dict(scheme=Option("hsmini", _within("scheme", "{hsmini, explicit, keyed, wiesner}",
+                                             ("hsmini", "explicit", "keyed", "wiesner").__contains__)),
+             n=_qubits(10), d=_D, eps=Option(0.25, _EPS_NOISE),
+             # only explicit serials are polynomial tables
+             beta=Option(12.0, _BETA, lambda cfg: _table_rows(cfg) if cfg.scheme == "explicit" else None),
+             trials=Option(100, _TRIALS)), run_verify_roundtrip),
+    ExperimentSpec(
+        "duality-check", "the full Hadamard transform maps a money state to its dual's state",
+        dict(n=_qubits(12, even=False), trials=Option(1000, _TRIALS)), run_duality_check),
+    ExperimentSpec(
+        "verifier-projector", "the project/transform/project/transform circuit equals the rank-1 projector",
+        # n None: 4, 6, 8 and 10; the dense circuit matrix stops at 10
+        dict(n=_qubits(None, hi=10), trials=Option(50, _TRIALS)), run_verifier_projector),
+    ExperimentSpec(
+        "hybrid-search-budget", "randomized amplification + fixed-point clean-up reaches 1-delta within "
+        "K log(1/delta)/(eps delta^2) queries",
+        dict(n=_qubits(10, even=False),
+             delta=Option(0.2, _DELTA, _schedule("delta", lambda cfg: search.cleanup_rounds(cfg.delta))),
+             eps=Option(0.05, _EPS_PROMISE, _schedule("eps", lambda cfg: search.hybrid_draws(cfg.eps)),
+                        lambda cfg: None if cfg.eps >= 1 or cfg.delta >= 2 * cfg.eps
+                        else f"eps must lie in (0, delta/2] or be 1, got {cfg.eps}"),
+             trials=Option(200, _TRIALS)), run_hybrid_budget),
+    ExperimentSpec(
+        "fixed-point-monotone", "goal fidelity is monotone in rounds and reaches 1-delta within "
+        "ln(1/delta)/(c eps^2) rounds",
+        dict(n=_qubits(8, even=False), delta=Option(0.05, _DELTA),
+             eps=Option(0.3, _EPS_PROMISE,
+                        _schedule("eps", lambda cfg: search.fixed_point_rounds(cfg.eps ** 2, cfg.delta))),
+             trials=Option(500, _TRIALS)), run_fixed_point_monotone),
+    ExperimentSpec(
+        "amplify-counterfeiter", "a weak counterfeiter is boosted to near-perfect double-verification",
+        # the goal is the doubled note, on 2n qubits
+        dict(n=_qubits(8, hi=lambda cfg: config.qubit_cap() // 2), delta=Option(0.05, _DELTA),
+             eps=Option(0.2, _EPS_PROMISE, _schedule("eps", _amplify_steps)), trials=Option(200, _TRIALS)),
+        run_amplify_counterfeiter),
+    ExperimentSpec(
+        "innerprod-progress", "per-query drop of the cross-oracle inner product stays within 4 sqrt(eps)",
+        # the combined oracles act on n + 1 bits
+        dict(n=_qubits(16, hi=lambda cfg: config.qubit_cap() - 1), trials=Option(60, _TRIALS)),
+        run_innerprod_progress),
+    ExperimentSpec(
+        "clone-search", "preparing a verifier's target by search costs about (pi/4) / overlap queries",
+        dict(n=_qubits(8, even=False), trials=Option(101, _TRIALS),
+             target=Option("haar", _within("target", "{haar, subspace}", ("haar", "subspace").__contains__))),
+        run_clone_search),
+    ExperimentSpec(
+        "kcopy-scaling", "holding k copies cuts the search cost of copy k+1 by about sqrt(k+1)",
+        # k None: 1, 2 and 4 copies
+        dict(n=_qubits(6, even=False), k=Option(None, _count("k", 0, _SCHEDULE_CAP)),
+             trials=Option(101, _TRIALS)), run_kcopy_scaling),
+    ExperimentSpec(
+        "explicit-mint-verify", "noisy polynomial serials verify honest notes perfectly and pin the subspace",
+        dict(n=_qubits(12), d=_D, eps=Option(0.25, _EPS_NOISE), beta=Option(12.0, _BETA, _table_rows),
+             trials=Option(500, _TRIALS)), run_explicit_mint_verify),
+    ExperimentSpec(
+        "attack-d1", "degree-1 serials surrender the hidden subspace",
+        dict(n=_qubits(12, even=False), eps=Option(0.1, _EPS_NOISE), beta=Option(6.0, _BETA, _table_rows),
+             trials=Option(200, _TRIALS)), run_attack_d1),
+    ExperimentSpec(
+        "attack-adaptive", "a naive-and-trusting bank leaks one qubit per swap-out batch",
+        dict(n=_qubits(16, hi=config.WIESNER_QUBIT_CAP, even=False), k=Option(24, _samples),
+             trials=Option(100, _TRIALS)), run_attack_adaptive),
+    ExperimentSpec(
+        "attack-clone", "measure-and-resend passes 5/8 per qubit; the optimal channel reaches 3/4",
+        dict(n=_qubits(8, hi=config.WIESNER_QUBIT_CAP, even=False), trials=Option(2000, _TRIALS)),
+        run_attack_clone),
+    ExperimentSpec(
+        "keyed-contrast", "the swap-out attack gains no per-qubit signal against keyed subspace notes",
+        # the attack inserts a candidate qubit, n + 1 in all; k None: its default
+        dict(n=_qubits(8, hi=lambda cfg: config.qubit_cap() - 1), k=Option(None, _samples)), run_keyed_contrast),
+    ExperimentSpec(
+        "completeness-amplification", "threshold repetition drives completeness error down exponentially and "
+        "preserves counterfeiters",
+        # the reduction double-verifies notes on 2n qubits
+        dict(n=_qubits(8, hi=lambda cfg: config.qubit_cap() // 2),
+             eps=Option(0.2, _within("eps", "(0, 1/2)", lambda v: 0 < v < 0.5)),
+             k=Option(60, _count("k", 1, lambda cfg: _NOTES_BYTES_CAP >> cfg.n + 4)),
+             eta=Option(0.1, lambda cfg: _within("eta", f"(0, 1/2 - eps) at eps={cfg.eps}",
+                                                 lambda v: 0 < v < 0.5 - cfg.eps)(cfg)),
+             trials=Option(10_000, _TRIALS)), run_completeness_amplification),
+    ExperimentSpec(
+        "money-end-to-end", "signed hidden-subspace notes verify honestly and both forgery families reject",
+        dict(n=_qubits(10), trials=Option(1000, _TRIALS)), run_money_end_to_end),
+)}
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
+def configure(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg with its experiment's defaults filled in, once every declared option passes
+    its bound and no undeclared option is set; a ValueError names the option refused."""
     spec = CATALOG.get(cfg.experiment)
     if spec is None:
         raise KeyError(f"unknown experiment {cfg.experiment!r}")
-    resolved = cfg.resolved(spec.defaults)
-    _validate(resolved)
-    return spec.runner(resolved)
+    filled = replace(cfg, **{name: opt.default for name, opt in spec.options.items()
+                             if getattr(cfg, name) is None})
+    for name, opt in spec.options.items():
+        for check in opt.checks if getattr(filled, name) is not None else ():
+            refusal = check(filled)
+            if refusal:
+                raise ValueError(refusal)
+    for name in OPTIONS:
+        if name not in spec.options and getattr(cfg, name) is not None:
+            raise ValueError(f"{cfg.experiment} does not read {name}; its options are {', '.join(spec.options)}")
+    return filled
 
 
-# eps is a noise rate where serials are noisy polynomial systems and the base
-# completeness error in completeness-amplification; elsewhere it is an
-# overlap or a pass rate. NaN fails every comparison.
-_NOISE_RATE = ("[0, 1)", lambda eps: 0 <= eps < 1)
-_EPS_RANGES: Dict[str, tuple] = {
-    "verify-roundtrip": _NOISE_RATE,
-    "explicit-mint-verify": _NOISE_RATE,
-    "attack-d1": _NOISE_RATE,
-    "completeness-amplification": ("(0, 1/2)", lambda eps: 0 < eps < 0.5),
-}
-_EPS_OVERLAP = ("(0, 1]", lambda eps: 0 < eps <= 1)
-
-# Longest search schedule an eps promise may set: fixed-point rounds run one
-# at a time in Python, and the hybrid draws T from {0..L} in int64.
-_SCHEDULE_CAP = 1 << 24
-
-
-def _schedule_steps(cfg: ExperimentConfig) -> float:
-    """The longest schedule cfg.eps sets (fixed-point rounds, or the hybrid's
-    L), as a float that overflows to inf instead of raising; 0 where eps sets
-    no schedule."""
-    if cfg.experiment == "hybrid-search-budget":
-        return config.HYBRID_L_NUMERATOR / math.asin(cfg.eps)
-    if cfg.experiment == "fixed-point-monotone":
-        return math.log(1 / cfg.delta) / config.FIXED_POINT_RATE / cfg.eps / cfg.eps
-    if cfg.experiment == "amplify-counterfeiter":
-        # fixed-point rounds at fidelity sqrt(eps), or the hybrid backend's L
-        return max(math.log(1 / cfg.delta) / config.FIXED_POINT_RATE / cfg.eps,
-                   config.HYBRID_L_NUMERATOR / math.asin(math.sqrt(cfg.eps)))
-    return 0.0
-
-
-# k is the swap-out attacks' sample count per candidate there
-_K_SAMPLES = ("attack-adaptive", "keyed-contrast")
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.n is not None and cfg.n > config.qubit_cap():
-        raise ValueError(f"n={cfg.n} exceeds the simulator cap {config.qubit_cap()}")
-    if cfg.n is not None and cfg.n < 2:
-        raise ValueError("n must be at least 2")
-    if cfg.trials is not None and cfg.trials < 1:
-        raise ValueError("trials must be positive")
-    if cfg.delta is not None and not 0 < cfg.delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    interval, in_range = _EPS_RANGES.get(cfg.experiment, _EPS_OVERLAP)
-    if cfg.eps is not None and not in_range(cfg.eps):
-        raise ValueError(f"eps must lie in {interval}, got {cfg.eps}")
-    if cfg.eps is not None and not _schedule_steps(cfg) <= _SCHEDULE_CAP:
-        raise ValueError(
-            f"eps={cfg.eps} is too small: with delta={cfg.delta} it sets a search "
-            f"schedule of {_schedule_steps(cfg):.3g} steps, above the cap of {_SCHEDULE_CAP}"
-        )
-    if cfg.experiment in _K_SAMPLES and cfg.k is not None and cfg.k < 1:
-        raise ValueError(f"k (samples per candidate) must be at least 1, got {cfg.k}")
+def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
+    cfg = configure(cfg)
+    return CATALOG[cfg.experiment].runner(cfg)

@@ -291,12 +291,12 @@ class ComposedScheme:
         return self.mini.verify(note.serial, note.state, rng)
 
     def verify_post(self, pk, note: MoneyNote, rng: np.random.Generator) -> Tuple[bool, StateVector]:
-        try:
-            sig_ok = self.signer.sverify(pk, note.serial, note.signature)
+        try:  # a note whose signature fails is rejected unmeasured, as in verify
+            if not self.signer.sverify(pk, note.serial, note.signature):
+                return False, note.state
         except MalformedSignatureError:
             return False, note.state
-        mini_ok, post = self.mini.verify_post(note.serial, note.state, rng)
-        return sig_ok and mini_ok, post
+        return self.mini.verify_post(note.serial, note.state, rng)
 
 
 def count_notes(

@@ -49,15 +49,33 @@ class SearchProblem:
         return self.init_oracle.query_count + self.goal_projector.charge_to.query_count
 
 
+def fixed_point_rounds(fidelity_sq: float, delta: float) -> float:
+    """ln(1/delta) / (c f^2) with c = FIXED_POINT_RATE: the rounds that reach goal
+    fidelity 1 - delta from fidelity f^2, before rounding up; inf where c f^2 underflows."""
+    rate = config.FIXED_POINT_RATE * fidelity_sq
+    return math.log(1 / delta) / rate if rate else math.inf
+
+
+def hybrid_draws(eps: float) -> float:
+    """L = HYBRID_L_NUMERATOR / arcsin(eps) before rounding up; inf where it overflows."""
+    return config.HYBRID_L_NUMERATOR / math.asin(eps)
+
+
+def cleanup_rounds(delta: float) -> float:
+    """R = HYBRID_R_FACTOR / delta^2 * (2 + ln(1/delta)) / FIXED_POINT_RATE
+    before rounding up; inf where delta^2 underflows."""
+    square = delta ** 2
+    return (config.HYBRID_R_FACTOR / square * (2 + math.log(1 / delta)) / config.FIXED_POINT_RATE
+            if square else math.inf)
+
+
 @dataclass
 class SearchParams:
     """Schedule for the hybrid search.
 
     eps is the promised lower bound on the initial goal fidelity; the
     schedule uses xi = arcsin(eps), never the true overlap. The derived
-    values are L = ceil(HYBRID_L_NUMERATOR / xi) and
-    R = ceil(HYBRID_R_FACTOR / delta^2 * (2 + ln(1/delta)) / FIXED_POINT_RATE),
-    with the constants from config.
+    values are L = ceil(hybrid_draws(eps)) and R = ceil(cleanup_rounds(delta)).
     """
 
     eps: float
@@ -72,11 +90,10 @@ class SearchParams:
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         self.xi = math.asin(self.eps)
-        self.L = math.ceil(config.HYBRID_L_NUMERATOR / self.xi)
-        self.R = math.ceil(
-            config.HYBRID_R_FACTOR / self.delta ** 2 * (2 + math.log(1 / self.delta))
-            / config.FIXED_POINT_RATE
-        )
+        draws, rounds = hybrid_draws(self.eps), cleanup_rounds(self.delta)
+        if not max(draws, rounds) < math.inf:
+            raise ValueError(f"eps={self.eps} and delta={self.delta} set an endless schedule")
+        self.L, self.R = math.ceil(draws), math.ceil(rounds)
 
 
 class _Plane:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -21,7 +22,7 @@ def test_catalog_lists_all(capsys):
 def test_catalog_claims_exist():
     for spec in CATALOG.values():
         assert spec.claim
-        assert spec.defaults
+        assert spec.options
 
 
 def test_run_verify_roundtrip(tmp_path, capsys):
@@ -298,3 +299,58 @@ def test_zero_samples_per_candidate_is_a_usage_error_before_any_trial(
     assert main(["run", experiment, "--trials", "1", "--workers", "1", "--k", k]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: k (samples per candidate) must be at least 1")
+
+
+@pytest.mark.parametrize("delta", ["1e-300", "5e-324", "1e-3"])
+def test_delta_setting_endless_clean_up_is_a_usage_error_before_any_trial(monkeypatch, capsys, delta):
+    # delta ** 2 underflows; 1/delta is inf; R = 25/delta^2 (2 + ln 1/delta)/0.8 passes 2^24
+    def runner(cfg):
+        raise AssertionError("a trial ran")
+
+    experiment = "hybrid-search-budget"
+    monkeypatch.setitem(CATALOG, experiment, dataclasses.replace(CATALOG[experiment], runner=runner))
+    assert main(["run", experiment, "--trials", "1", "--workers", "1", "--delta", delta]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: delta={float(delta)} is too small")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["kcopy-scaling", "--k", "-1"], "k"),  # the reference divides by sqrt(k + 1)
+        (["kcopy-scaling", "--k", "-2"], "k"),
+        (["completeness-amplification", "--k", "100000000"], "k"),  # k 2^n 16 B of notes
+        (["hybrid-search-budget", "--eps", "0.5"], "eps"),  # the hybrid needs delta >= 2 eps
+        (["attack-d1", "--d", "0"], "d"),  # attack-d1 reads no d
+        (["clone-search", "--eps", "5"], "eps"),  # clone-search reads no eps
+        (["duality-check", "--trials", str(2 ** 62)], "trials"),
+    ],
+)
+def test_options_outside_their_declaration_are_usage_errors_before_any_trial(monkeypatch, capsys, argv, option):
+    def runner(cfg):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(CATALOG, argv[0], dataclasses.replace(CATALOG[argv[0]], runner=runner))
+    assert main(["run", *argv, "--workers", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and re.search(rf"\b{option}\b", err[0])
+
+
+def test_wiesner_attack_past_the_statevector_cap(capsys):
+    # a Wiesner note is never a statevector: only the Wiesner cap of 64 bounds n
+    assert main(["wiesner", "attack-adaptive", "--n", "24", "--trials", "1"]) == EXIT_OK
+    assert "result: PASS" in capsys.readouterr().out
+
+
+def test_report_header_lists_the_declared_options(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    assert main(["run", "duality-check", "--trials", "2", "--workers", "1", "--out", str(out)]) == EXIT_OK
+    header = json.loads(out.read_text().splitlines()[0])
+    assert header["params"] == {"n": 12, "trials": 2}
+
+
+def test_catalog_prints_options_without_a_default(capsys):
+    assert main(["catalog"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "options: n=6 k=(runner picks) trials=101" in out
+    assert "options: n=(runner picks) trials=50" in out

@@ -226,6 +226,22 @@ def test_wrapped_money_scheme_as_mini(scheme):
     assert verify2(wrapper, note.serial, (note.state, note.state), rng)
 
 
+def test_wrapped_verify_post_leaves_a_note_with_a_bad_signature_unmeasured(scheme):
+    m, rng = scheme
+    wrapper = WrappedAsMini(ComposedScheme(m, LamportMerkleSigner(tree_height=2)))
+    note = wrapper.bank(rng)
+    pk, inner, sig = WrappedAsMini._unpack(note.serial)
+    wrong = WrappedAsMini._pack([pk, inner, sig[:-1] + bytes([sig[-1] ^ 1])])  # well-formed, wrong
+    malformed = WrappedAsMini._pack([pk, inner, sig[:-1]])
+    for serial in (wrong, malformed):
+        queries = m.bundle.subspace_queries
+        draws = rng.bit_generator.state
+        ok, post = wrapper.verify_post(serial, note.state, rng)
+        assert not ok and post is note.state
+        assert m.bundle.subspace_queries == queries
+        assert rng.bit_generator.state == draws
+
+
 def test_noisy_wrapper_completeness_rate(scheme):
     m, rng = scheme
     noisy = ArtificiallyNoisyScheme(m, extra_reject=0.2)

@@ -11,8 +11,11 @@ from hsmoney.search import (
     SearchParams,
     SearchProblem,
     amplitude_amplify,
+    cleanup_rounds,
     count_near_lattice,
+    fixed_point_rounds,
     fixed_point_search,
+    hybrid_draws,
     hybrid_search,
     planted_problem,
 )
@@ -147,6 +150,23 @@ def test_search_params_schedule_values():
     assert sp.xi == pytest.approx(math.asin(0.05))
     assert sp.L == math.ceil(100 / math.asin(0.05))
     assert sp.R == math.ceil(25 / 0.04 * (2 + math.log(5)) / 0.8)
+
+
+@pytest.mark.parametrize("eps, delta", [(0.05, 1e-300), (0.05, 5e-324), (5e-324, 0.2)])
+def test_search_params_refuse_an_endless_schedule(eps, delta):
+    # delta ** 2 underflows to 0, or 1 / arcsin(eps) overflows to inf
+    with pytest.raises(ValueError, match="endless schedule"):
+        SearchParams(eps=eps, delta=delta)
+
+
+def test_schedule_lengths_are_floats_that_overflow_to_inf():
+    assert fixed_point_rounds(0.3 ** 2, 0.05) == math.log(1 / 0.05) / (config.FIXED_POINT_RATE * 0.3 ** 2)
+    assert fixed_point_rounds(1e-300 ** 2, 0.05) == math.inf  # c eps^2 underflows
+    assert fixed_point_rounds(1e-160 ** 2, 0.05) == math.inf  # the quotient overflows
+    assert cleanup_rounds(1e-300) == math.inf
+    assert hybrid_draws(5e-324) == math.inf
+    sp = SearchParams(eps=0.05, delta=0.2)
+    assert (sp.L, sp.R) == (math.ceil(hybrid_draws(0.05)), math.ceil(cleanup_rounds(0.2)))
 
 
 def test_count_near_lattice_examples():
