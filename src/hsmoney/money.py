@@ -12,12 +12,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .qsim import Projector, StateVector, measure_projector, measure_register
+from .qsim import Projector, StateVector, check_qubits, measure_projector, measure_register
 
 
 class KeyExhaustionError(RuntimeError):
@@ -39,12 +38,15 @@ class MiniScheme:
 
     Subclasses set `n` (qubits per money state) and `completeness_error`, and
     implement `bank` and `verify_post`. Projective schemes return their
-    rank-1 target from `target_state`; `classical_accept` lets wrappers add
-    classical accept/reject coins.
+    rank-1 target from `target_state`. Wrappers add classical coins through
+    `reject_rates`: after a quantum acceptance, `classical_accept` tosses one
+    uniform per rate, in order, while each passes (a coin below its rate
+    rejects).
     """
 
     n: int
     completeness_error: float = 0.0
+    reject_rates: Tuple[float, ...] = ()
 
     def bank(self, rng: np.random.Generator) -> Banknote:
         raise NotImplementedError
@@ -54,7 +56,7 @@ class MiniScheme:
         return None
 
     def classical_accept(self, rng: np.random.Generator) -> bool:
-        return True
+        return all(rng.random() >= rate for rate in self.reject_rates)
 
     def verify_post(
         self, serial: bytes, state: StateVector, rng: np.random.Generator
@@ -76,13 +78,6 @@ class MiniScheme:
 JointInput = Union[StateVector, Tuple[StateVector, StateVector]]
 
 
-def _as_joint(m: MiniScheme, states: JointInput) -> StateVector:
-    joint = states if isinstance(states, StateVector) else states[0].tensor(states[1])
-    if joint.n_qubits != 2 * m.n:
-        raise ValueError("joint register must hold exactly two money states")
-    return joint
-
-
 def verify2(
     m: MiniScheme, serial: bytes, states: JointInput, rng: np.random.Generator
 ) -> bool:
@@ -98,19 +93,35 @@ def verify2_post(
     rng: np.random.Generator,
     keep_post: bool = True,
 ) -> Tuple[bool, Optional[StateVector]]:
-    """Double verifier: both single verifications, sequential on the joint
-    state. With `keep_post=False` the post state after the second, which
-    only the caller could read, is not built and None stands in for it; the
-    draws are the same."""
+    """Double verifier: both single verifications, the first on the low
+    register and the second on the top one. A pair (sigma, xi) is the product
+    state sigma (low) tensor xi (top), so each register is measured on its own
+    2^n amplitudes and the joint post state is built only when asked for; a
+    joint `StateVector`, which may be entangled, is measured as a whole. With
+    `keep_post=False` the post state after the second measurement, which only
+    the caller could read, is not built and None stands in for it; the draws
+    are the same."""
     target = m.target_state(serial)
     if target is None:
         raise ValueError("double verification needs a projective scheme")
-    joint = _as_joint(m, states)
-    ok1, amps = measure_register(joint.amps, target, rng)
+    if isinstance(states, StateVector):
+        if states.n_qubits != 2 * m.n:
+            raise ValueError("joint register must hold exactly two money states")
+        ok1, amps = measure_register(states.amps, target, rng)
+        ok1 = ok1 and m.classical_accept(rng)
+        ok2, amps = measure_register(amps, target, rng, top=True, keep_post=keep_post)
+        ok2 = ok2 and m.classical_accept(rng)
+        return ok1 and ok2, StateVector._wrap(states.n_qubits, amps) if keep_post else None
+    if any(s.n_qubits != m.n for s in states):
+        raise ValueError("each register of the pair must hold one money state")
+    if keep_post:
+        check_qubits(2 * m.n)
+    ok1, low = measure_register(states[0].amps, target, rng, keep_post=keep_post)
     ok1 = ok1 and m.classical_accept(rng)
-    ok2, amps = measure_register(amps, target, rng, top=True, keep_post=keep_post)
+    ok2, top = measure_register(states[1].amps, target, rng, keep_post=keep_post)
     ok2 = ok2 and m.classical_accept(rng)
-    return ok1 and ok2, StateVector._wrap(joint.n_qubits, amps) if keep_post else None
+    # the top register's index bits go above the low one's, as in `tensor`
+    return ok1 and ok2, StateVector._wrap(2 * m.n, np.kron(top, low)) if keep_post else None
 
 
 def _h(data: bytes) -> bytes:
@@ -354,30 +365,62 @@ class WrappedAsMini(MiniScheme):
         return self.scheme.verify_post(pk, MoneyNote(inner_serial, sig, state), rng)
 
 
+def _count_accepts(probs: List[float], rates: Tuple[float, ...], rng: np.random.Generator) -> int:
+    """How many sub-notes accept, when sub-note i accepts its measurement
+    with probability probs[i] and then tosses one coin per entry of `rates`,
+    in order, while each passes. The draws are those of one measurement
+    after another: a uniform against probs[i], then the coins. They come in
+    blocks of the draws still certain to be made, one per sub-note not yet
+    measured plus a coin if one is pending, so none is drawn that the
+    one-by-one draws would not make; `Generator.random(r)` yields the same
+    doubles, and leaves the same state, as r scalar calls."""
+    total = 0
+    block, pos = [], 0
+    for i, prob in enumerate(probs):
+        if pos == len(block):
+            block, pos = rng.random(len(probs) - i).tolist(), 0
+        accepted = block[pos] < prob
+        pos += 1
+        for rate in rates:
+            if not accepted:
+                break
+            if pos == len(block):
+                block, pos = rng.random(len(probs) - i).tolist(), 0
+            accepted = block[pos] >= rate
+            pos += 1
+        total += accepted
+    return total
+
+
 class ArtificiallyNoisyScheme(MiniScheme):
     """Wrap a projective scheme with an extra classical rejection coin.
 
     Verification measures {|t><t|, I - |t><t|} for the base scheme's target
-    t and, on acceptance, tosses the coins of `classical_accept`; an unissued
-    serial rejects without a draw. `verify_all` is the boolean verifier: it
-    takes every p_i = |<t_i|psi_i>|^2 of a batch from one contraction of the
-    stacked amplitudes, then makes each sub-note's draws in index order, one
-    uniform against p_i and the coins only on acceptance, as one measurement
-    after another would. `verify` is its one-note case. The conjugated
-    targets of the last serial tuple are kept, k 2^n complex values, the
-    size of the note itself: threshold repetition verifies one composite
-    note many times.
+    t and, on acceptance, tosses the coins of `reject_rates`, this wrapper's
+    first and the base's after it; an unissued serial rejects without a draw.
+    `verify_all` is the boolean verifier: it takes every p_i = |<t_i|psi_i>|^2
+    of a batch from one contraction of the stacked amplitudes, then makes
+    each sub-note's draws in index order, one uniform against p_i and the
+    coins only on acceptance, as one measurement after another would.
+    `verify` is its one-note case. Threshold repetition verifies one
+    composite note many times, so two memos are kept: the conjugated targets
+    of the last serial tuple, k 2^n complex values, the size of the note
+    itself; and the probabilities of the last note, keyed on its serials and
+    on the identity of its immutable states, which the memo holds.
     """
 
     def __init__(self, base: MiniScheme, extra_reject: float):
         if not 0 <= extra_reject < 1:
             raise ValueError("rejection rate must lie in [0, 1)")
         self.base = base
-        self.extra_reject = extra_reject
+        self.reject_rates = (extra_reject,) + base.reject_rates
         self.n = base.n
         self.completeness_error = 1 - (1 - base.completeness_error) * (1 - extra_reject)
         # (serials, issued flags, conjugated targets one row each)
         self._stacked: Tuple[Tuple[bytes, ...], List[bool], np.ndarray] = ((), [], np.zeros((0, 1 << self.n)))
+        # (serials, ids of the states, the states, the issued sub-notes' p_i)
+        self._probs: Tuple[Tuple[bytes, ...], Tuple[int, ...], Tuple[StateVector, ...], List[float]] = (
+            (), (), (), [])
 
     def _stacked_targets(self, serials: Tuple[bytes, ...]) -> Tuple[List[bool], np.ndarray]:
         if self._stacked[0] != serials:
@@ -389,6 +432,15 @@ class ArtificiallyNoisyScheme(MiniScheme):
             self._stacked = (serials, [t is not None for t in targets], conj)
         return self._stacked[1:]
 
+    def _probabilities(self, serials: Tuple[bytes, ...], states: Tuple[StateVector, ...]) -> List[float]:
+        ids = tuple(map(id, states))
+        if self._probs[:2] != (serials, ids):
+            issued, conj = self._stacked_targets(serials)
+            overlaps = np.einsum("ij,ij->i", conj, np.stack([s.amps for s in states]))
+            probs = [p for ok, p in zip(issued, (np.abs(overlaps) ** 2).tolist()) if ok]
+            self._probs = (serials, ids, states, probs)
+        return self._probs[3]
+
     def verify_all(
         self, serials: Sequence[bytes], states: Sequence[StateVector], rng: np.random.Generator
     ) -> int:
@@ -397,13 +449,8 @@ class ArtificiallyNoisyScheme(MiniScheme):
         m = min(len(serials), len(states))
         if m == 0:
             return 0
-        issued, conj = self._stacked_targets(tuple(serials[:m]))
-        overlaps = np.einsum("ij,ij->i", conj, np.stack([s.amps for s in states[:m]]))
-        total = 0
-        for ok, prob in zip(issued, (np.abs(overlaps) ** 2).tolist()):
-            if ok and rng.random() < prob and self.classical_accept(rng):
-                total += 1
-        return total
+        probs = self._probabilities(tuple(serials[:m]), tuple(states[:m]))
+        return _count_accepts(probs, self.reject_rates, rng)
 
     def verify(self, serial: bytes, state: StateVector, rng: np.random.Generator) -> bool:
         return self.verify_all((serial,), (state,), rng) == 1
@@ -422,9 +469,6 @@ class ArtificiallyNoisyScheme(MiniScheme):
 
     def target_state(self, serial: bytes) -> Optional[StateVector]:
         return self.base.target_state(serial)
-
-    def classical_accept(self, rng: np.random.Generator) -> bool:
-        return bool(rng.random() >= self.extra_reject) and self.base.classical_accept(rng)
 
 
 @dataclass
@@ -456,13 +500,17 @@ class CompositeScheme:
     def exact_completeness_error(self) -> float:
         """P[Bin(k, 1 - eps) < threshold]: the honest rejection rate when each
         sub-verification rejects independently with probability exactly
-        eps = base.completeness_error. Summed in exact rationals."""
-        p = 1 - Fraction(self.base.completeness_error)
-        tail = sum(
-            math.comb(self.k, j) * p ** j * (1 - p) ** (self.k - j)
-            for j in range(self.threshold)
-        )
-        return float(tail)
+        eps = base.completeness_error. With eps = q / d as an exact binary
+        fraction, the tail is sum_{j < threshold} C(k, j) (d - q)^j q^(k - j)
+        over d^k: one integer sum, then one correctly rounded division."""
+        q, d = float(self.base.completeness_error).as_integer_ratio()
+        # Horner in q over the running term C(k, j) (d - q)^j, then the
+        # q^(k - threshold + 1) that every term shares
+        num, term = 0, 1
+        for j in range(self.threshold):
+            num = num * q + term
+            term = term * (self.k - j) * (d - q) // (j + 1)
+        return num * q ** (self.k - self.threshold + 1) / d ** self.k
 
     def bank(self, rng: np.random.Generator) -> CompositeNote:
         notes = [self.base.bank(rng) for _ in range(self.k)]

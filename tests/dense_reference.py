@@ -10,9 +10,14 @@ The Walsh-Hadamard transform here is one radix-2 butterfly per qubit;
 `hsmoney.qsim.walsh_hadamard_raw` takes four qubits per `matmul` pass.
 Threshold repetition here measures each rank-1 sub-note on its own;
 `hsmoney.money.ArtificiallyNoisyScheme.verify_all` takes every acceptance
-probability of a composite note from one stacked contraction.
+probability of a composite note from one stacked contraction and draws its
+uniforms in blocks. The binomial tail here is a sum of `Fraction` terms;
+`hsmoney.money.CompositeScheme.exact_completeness_error` sums integers over
+one power-of-two denominator.
 """
 
+import math
+from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
@@ -104,3 +109,10 @@ def count_rank1_accepts(scheme, serials, states, rng: np.random.Generator) -> in
         if ok and scheme.classical_accept(rng):
             total += 1
     return total
+
+
+def binomial_tail(k: int, threshold: int, eps: float) -> float:
+    """P[Bin(k, 1 - eps) < threshold], summed in exact rationals and then
+    rounded once to a float."""
+    p = 1 - Fraction(eps)
+    return float(sum(math.comb(k, j) * p ** j * (1 - p) ** (k - j) for j in range(threshold)))

@@ -121,6 +121,52 @@ def test_verify2_is_verify2_post_without_the_post_state(scheme, second):
                 assert post.n_qubits == 2 * m.n
 
 
+@pytest.mark.parametrize("pair", ["honest", "junk-member", "p-zero", "haar"])
+def test_verify2_pair_is_its_joint_register(scheme, pair):
+    # a pair is measured one register at a time; as the product state it is,
+    # it must give the joint register's outcome, draws and post state
+    m, rng = scheme
+    noisy = ArtificiallyNoisyScheme(m, extra_reject=0.2)
+    note = m.bank(rng)
+    sub = m.bundle.lookup(note.serial).subspace
+    member = StateVector.basis(m.n, next(x for x in range(1, 1 << m.n) if sub.contains(x)))
+    first, second = {
+        "honest": (note.state, note.state),
+        "junk-member": (note.state, member),
+        "p-zero": (note.state, _orthogonal_junk(m, note)),
+        "haar": (qsim.haar_random_state(m.n, rng), qsim.haar_random_state(m.n, rng)),
+    }[pair]
+    for scheme_ in (m, noisy):
+        for sigma, xi in ((first, second), (second, first)):
+            for seed in range(20):
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                ok, post = verify2_post(scheme_, note.serial, (sigma, xi), rng_a)
+                want, want_post = verify2_post(scheme_, note.serial, sigma.tensor(xi), rng_b)
+                assert ok == want
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+                assert post.n_qubits == want_post.n_qubits
+                np.testing.assert_allclose(post.amps, want_post.amps, rtol=0, atol=1e-12)
+
+
+def test_verify2_pair_builds_the_joint_register_only_for_its_post_state(scheme, monkeypatch):
+    m, rng = scheme
+    note = m.bank(rng)
+    built = []
+    init = StateVector.__init__
+
+    def spy(self, n_qubits, amps, _checked=False):
+        built.append(n_qubits)
+        init(self, n_qubits, amps, _checked)
+
+    monkeypatch.setattr(StateVector, "__init__", spy)
+    assert verify2(m, note.serial, (note.state, note.state), rng)
+    assert 2 * m.n not in built
+    ok, post = verify2_post(m, note.serial, (note.state, note.state), rng)
+    assert ok and built.count(2 * m.n) == 1
+    with pytest.raises(ValueError, match="each register"):
+        verify2(m, note.serial, (note.state, note.state.tensor(note.state)), rng)
+
+
 def test_lamport_roundtrip_and_rejection():
     rng = np.random.default_rng(61)
     signer = LamportMerkleSigner(tree_height=3)
@@ -304,6 +350,23 @@ def test_composite_exact_completeness_error(scheme):
             assert comp.exact_completeness_error() <= comp.completeness_error_bound
 
 
+@pytest.mark.parametrize("extra_reject", [0.0, 0.2, 1 / 3, 0.123456789, 0.44])
+def test_exact_completeness_error_is_the_fraction_sum_bit_for_bit(scheme, extra_reject):
+    m, _ = scheme
+    noisy = ArtificiallyNoisyScheme(m, extra_reject=extra_reject)
+    for k in (1, 2, 5, 60, 87, 250):
+        for eta in (0.01, 0.03, 0.1, 0.25):
+            if not eta < 0.5 - noisy.completeness_error:
+                continue
+            comp = CompositeScheme(noisy, k=k, eta=eta)
+            want = dense_reference.binomial_tail(k, comp.threshold, noisy.completeness_error)
+            got = comp.exact_completeness_error()
+            assert got == want and math.copysign(1, got) == math.copysign(1, want)
+    # eps = 0: no honest sub-note rejects, so neither does the composite
+    if extra_reject == 0:
+        assert CompositeScheme(noisy, k=9, eta=0.1).exact_completeness_error() == 0.0
+
+
 def test_note_wire_format_roundtrip(tmp_path, scheme):
     m, rng = scheme
     signer = LamportMerkleSigner(tree_height=2)
@@ -371,19 +434,36 @@ def _rank1_notes():
         "fewer-states": CompositeNote(serials, states[:5]),
         "fewer-serials": CompositeNote(serials[:5], states),
         "one-state-repeated-serial": CompositeNote((serials[0],) * len(serials), states[:1]),
+        "lists": CompositeNote(list(serials), list(mixed)),
     }
 
 
+def _coin_scheme(noisy, case):
+    # a rank-1 scheme whose coins differ from the one 0.2 rejection
+    return {
+        "nested-two-coins": ArtificiallyNoisyScheme(noisy, extra_reject=0.3),
+        "no-extra-reject": ArtificiallyNoisyScheme(noisy.base, extra_reject=0.0),
+    }[case]
+
+
 @pytest.mark.parametrize("case", ["honest", "mixed", "junk-members", "p-zero", "unissued", "empty",
-                                  "fewer-states", "fewer-serials", "one-state-repeated-serial"])
+                                  "fewer-states", "fewer-serials", "one-state-repeated-serial", "lists",
+                                  "nested-two-coins", "no-extra-reject"])
 def test_stacked_rank1_pass_matches_the_per_note_measurements(case):
     noisy, comp, notes = _rank1_notes()
-    note = notes[case]
-    for seed in range(25):
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = comp.count_accepts(note, rng_a)
-        assert got == dense_reference.count_rank1_accepts(noisy, note.serials, note.states, rng_b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    if case in notes:
+        checked = [notes[case]]
+    else:
+        noisy = _coin_scheme(noisy, case)
+        comp = CompositeScheme(noisy, k=12, eta=0.01)
+        checked = [notes["honest"], notes["mixed"]]
+    for note in checked:
+        for seed in range(25):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = comp.count_accepts(note, rng_a)
+            assert got == dense_reference.count_rank1_accepts(noisy, note.serials, note.states, rng_b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    note = checked[0]
     if case in ("empty", "one-state-repeated-serial"):
         # only paired sub-notes are measured: one genuine state cannot stand
         # for every slot of a note that repeats its serial
@@ -406,6 +486,28 @@ def test_single_rank1_verify_is_the_one_note_stacked_pass():
         want = [dense_reference.count_rank1_accepts(noisy, [s], [st], rng_b) == 1
                 for s, st in zip(note.serials, note.states)]
         assert got == want
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_classical_coins_are_tossed_in_order_while_each_passes():
+    noisy, _, _ = _rank1_notes()
+    nested = _coin_scheme(noisy, "nested-two-coins")
+    assert nested.reject_rates == (0.3, 0.2)
+    assert _coin_scheme(noisy, "no-extra-reject").reject_rates == (0.0,)
+    for seed in range(50):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = rng_b.random() >= 0.3 and rng_b.random() >= 0.2
+        assert nested.classical_accept(rng_a) == want
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("r", [1, 2, 7, 60])
+def test_a_block_of_uniforms_is_the_scalar_draws(r):
+    # the stacked pass draws its uniforms in blocks; numpy must give the
+    # same doubles, and leave the same state, as one scalar call per draw
+    for seed in range(5):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert rng_a.random(r).tolist() == [rng_b.random() for _ in range(r)]
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -460,6 +562,34 @@ def test_stacked_targets_memo_holds_the_last_serial_tuple():
     assert comp.count_accepts(b, rng) == 6
     assert comp.count_accepts(junk, rng) == 0
     assert comp.count_accepts(b, rng) == 6
+
+
+def test_probability_memo_is_keyed_on_serials_and_state_identity(monkeypatch):
+    base, noisy, comp, rng = _noisy_composite(k=6, extra_reject=0.0)
+    note = comp.bank(rng)
+    contractions = []
+    stacked_targets = ArtificiallyNoisyScheme._stacked_targets
+
+    def spy(self, serials):
+        contractions.append(serials)
+        return stacked_targets(self, serials)
+
+    monkeypatch.setattr(ArtificiallyNoisyScheme, "_stacked_targets", spy)
+    for _ in range(5):
+        assert comp.count_accepts(note, rng) == 6
+    assert len(contractions) == 1
+    # the same serials and state objects, held in lists: still memoised
+    assert comp.count_accepts(CompositeNote(list(note.serials), list(note.states)), rng) == 6
+    assert len(contractions) == 1
+    # the same serials with another state tuple take fresh probabilities
+    junk = CompositeNote(note.serials, tuple(_junk(base, s, False) for s in note.serials))
+    assert comp.count_accepts(junk, rng) == 0
+    copies = CompositeNote(note.serials, tuple(StateVector(base.n, s.amps) for s in note.states))
+    assert comp.count_accepts(copies, rng) == 6
+    assert comp.count_accepts(note, rng) == 6
+    assert len(contractions) == 4
+    # the memo holds the last note's states, so their ids are not reused
+    assert noisy._probs[2] == note.states
 
 
 def test_reduction_notes_build_their_stacked_targets_once(monkeypatch):
