@@ -179,7 +179,7 @@ def random_subspace(n: int, dim: int, rng: np.random.Generator) -> Subspace:
     if dim == 0:
         return Subspace.zero(n)
     while True:
-        rows = [int(rng.integers(0, 1 << n)) for _ in range(dim)]
+        rows = rng.integers(0, 1 << n, size=dim).tolist()
         reduced = rref(rows, n)
         if len(reduced) == dim:
             return Subspace(n, reduced)
@@ -276,19 +276,19 @@ class LinMap:
         return out
 
     def permutation_table(self) -> np.ndarray:
-        """apply(x) for every x in 0..2^n-1, built by XOR doubling."""
-        table = np.zeros(1 << self.n, dtype=np.int64)
-        for j in range(self.n):
-            img = self._column_image(j)
-            half = 1 << j
-            table[half : 2 * half] = table[:half] ^ img
-        return table
+        """apply(x) for every x in 0..2^n-1; the transpose's rows are the columns."""
+        return point_tables(np.array([self.transpose().rows], dtype=np.int64))[0]
 
-    def _column_image(self, j: int) -> int:
-        y = 0
-        for i, row in enumerate(self.rows):
-            y |= ((row >> j) & 1) << i
-        return y
+
+def point_tables(cols: np.ndarray) -> np.ndarray:
+    """Row k holds M_k x for every x in 0..2^n-1, where row k of the (maps, n)
+    int64 array `cols` lists M_k's columns; one XOR doubling for all maps."""
+    maps, n = cols.shape
+    tables = np.zeros((maps, 1 << n), dtype=np.int64)
+    for j in range(n):
+        half = 1 << j
+        np.bitwise_xor(tables[:, :half], cols[:, j : j + 1], out=tables[:, half : 2 * half])
+    return tables
 
 
 def random_invertible(n: int, rng: np.random.Generator) -> LinMap:
@@ -319,29 +319,25 @@ def _insert_reduced(reduced: Dict[int, int], x: int) -> bool:
     return False
 
 
-def complete_to_invertible(a: Subspace, rng: np.random.Generator) -> LinMap:
-    """An invertible map whose first dim(A) columns are a basis of A.
-
-    The returned map sends span(e_0..e_{dim-1}) onto A; its inverse sends
-    A onto the coordinate subspace.
-    """
-    rows: List[int] = list(a.basis)
+def complete_basis(a: Subspace, rng: np.random.Generator) -> List[int]:
+    """A's reduced basis, then uniform candidates kept when they leave the
+    span so far. Each round draws one block of the candidates still certain
+    to be needed, the same values and generator state as scalar draws."""
+    basis: List[int] = list(a.basis)
     # reduced rows keyed by their lowest set bit: reducing a candidate
     # against them clears its lowest bit at each step, so it takes at most n
     # XORs and ends at 0 exactly when the candidate is in the span so far
     reduced: Dict[int, int] = {}
-    for cand in a.basis:
-        _insert_reduced(reduced, cand)
-    while len(rows) < a.n:
-        cand = int(rng.integers(0, 1 << a.n))
-        if _insert_reduced(reduced, cand):
-            rows.append(cand)
-    # rows[j] becomes column j
-    cols = rows
-    mat_rows = []
-    for i in range(a.n):
-        r = 0
-        for j, c in enumerate(cols):
-            r |= ((c >> i) & 1) << j
-        mat_rows.append(r)
-    return LinMap(a.n, tuple(mat_rows))
+    for vec in a.basis:
+        _insert_reduced(reduced, vec)
+    while len(basis) < a.n:
+        for cand in rng.integers(0, 1 << a.n, size=a.n - len(basis)).tolist():
+            if _insert_reduced(reduced, cand):
+                basis.append(cand)
+    return basis
+
+
+def complete_to_invertible(a: Subspace, rng: np.random.Generator) -> LinMap:
+    """The map whose columns are `complete_basis(a, rng)`: it sends
+    span(e_0..e_{dim-1}) onto A, and its inverse sends A onto that frame."""
+    return LinMap(a.n, tuple(complete_basis(a, rng))).transpose()

@@ -17,13 +17,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import config
 from .advlab import amplify_counterfeiter_state
-from .f2lin import LinMap, Subspace, complete_to_invertible, random_subspace, rref
+from .f2lin import LinMap, Subspace, complete_basis, point_tables, random_subspace, rref
 from .qsim import (
     Projector,
     StateVector,
@@ -164,12 +164,12 @@ class MultilinearPoly:
 
 def _frame_coeff_batch(
     a: Subspace, d: int, count: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, Optional[LinMap]]:
+) -> Tuple[np.ndarray, Optional[List[int]]]:
     """count uniform samples from the vanishing ideal of the coordinate frame
     of dimension dim(A), as ANF coefficient rows (each admissible monomial
-    independently with probability 1/2), and a basis map sending A onto that
-    frame. The map is None when A is the frame itself, which includes the
-    zero and the full space."""
+    independently with probability 1/2), and a completed basis whose first
+    dim(A) vectors span A, or None when A is that frame (as the zero and the
+    full space are)."""
     if d < 1:
         raise ValueError("degree bound must be at least 1")
     allowed = _allowed_masks(a.n, a.dim, d)
@@ -178,22 +178,24 @@ def _frame_coeff_batch(
         coeffs[:, allowed] = rng.integers(0, 2, size=(count, len(allowed)), dtype=np.uint8)
     if a.basis == tuple(1 << i for i in range(a.dim)):
         return coeffs, None
-    return coeffs, complete_to_invertible(a, rng).inverse()
+    return coeffs, complete_basis(a, rng)
 
 
-def _permute_points(coeffs: np.ndarray, maps: Sequence[LinMap]) -> np.ndarray:
-    """Row i becomes the polynomial q with q(v) = p(L v), where L is maps[i],
-    or maps[0] for every row when only one map is given. Each point
-    permutation table is built when its row is gathered, so only one
-    (2^n int64) is held at a time."""
-    xor_mobius_inplace(coeffs)
-    if len(maps) == 1:
-        gathered = np.take(coeffs, maps[0].permutation_table(), axis=1)
-    else:
-        gathered = np.empty_like(coeffs)
-        for row, to_frame, out in zip(coeffs, maps, gathered):
-            np.take(row, to_frame.permutation_table(), out=out)
-    return xor_mobius_inplace(gathered)
+def _move_points(coeffs: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Row i becomes q with q(M u) = p(u), where tables[i] (or the one table)
+    is M's point table: truth tables are scattered through it, so M^-1 is
+    never formed. One table is inverted by one index scatter and gathered,
+    which beats a 2-D scatter; own tables are scattered row by row, which
+    beats `np.put_along_axis`."""
+    truth = xor_mobius_inplace(coeffs)
+    if len(tables) == 1:
+        source = np.empty_like(tables[0])
+        source[tables[0]] = np.arange(len(source))
+        return xor_mobius_inplace(np.take(truth, source, axis=1))
+    moved = np.empty_like(truth)
+    for out, table, row in zip(moved, tables, truth):
+        out[table] = row
+    return xor_mobius_inplace(moved)
 
 
 def _vanishing_coeff_batch(
@@ -201,32 +203,33 @@ def _vanishing_coeff_batch(
 ) -> np.ndarray:
     """count uniform samples from the vanishing ideal, as ANF coefficient rows.
 
-    Samples in the coordinate frame, then permutes truth tables through a
-    basis map sending the subspace onto the coordinate frame.
+    Samples in the coordinate frame, then moves truth tables through a basis
+    map sending the coordinate frame onto the subspace.
     """
-    coeffs, to_frame = _frame_coeff_batch(a, d, count, rng)
-    return coeffs if to_frame is None else _permute_points(coeffs, [to_frame])
+    coeffs, basis = _frame_coeff_batch(a, d, count, rng)
+    return coeffs if basis is None else _move_points(coeffs, point_tables(np.array([basis])))
 
 
 def _decoy_coeff_rows(
     n: int, dim: int, d: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """count rows, each vanishing on its own fresh uniform dim-dimensional
-    subspace. All draws are made first, in the order of one subspace, its
-    row and its completion after another; then the rows that need a basis
-    change are moved together."""
+    subspace. All draws come first, in the order of one subspace, its row
+    and its completion after another; then the rows to move get their point
+    tables in one pass and move together."""
     coeffs = np.zeros((count, 1 << n), dtype=np.uint8)
     moved: List[int] = []
-    maps: List[LinMap] = []
+    bases: List[List[int]] = []
     for i in range(count):
         decoy = random_subspace(n, dim, rng)
-        row, to_frame = _frame_coeff_batch(decoy, d, 1, rng)
+        # one coefficient draw per decoy: a uint8 block is another stream than per-row calls
+        row, basis = _frame_coeff_batch(decoy, d, 1, rng)
         coeffs[i] = row[0]
-        if to_frame is not None:
+        if basis is not None:
             moved.append(i)
-            maps.append(to_frame)
+            bases.append(basis)
     if moved:
-        coeffs[moved] = _permute_points(coeffs[moved], maps)
+        coeffs[moved] = _move_points(coeffs[moved], point_tables(np.array(bases)))
     return coeffs
 
 

@@ -3,9 +3,15 @@ kept only so that tests can run both from identical seeds and compare
 results, counters and RNG streams.
 
 The search loops here act on all 2^n amplitudes at every Grover step and
-measurement; `hsmoney.search` runs them on two plane coefficients. The basis
-completion here row-reduces every candidate from scratch;
-`hsmoney.f2lin.complete_to_invertible` keeps an incremental reduced basis.
+measurement; `hsmoney.search` runs them on two plane coefficients. The
+subspace sampler and the basis completion here draw one scalar at a time and
+the completion row-reduces every candidate from scratch;
+`hsmoney.f2lin.random_subspace` and `complete_basis` draw in blocks and
+`complete_basis` keeps an incremental reduced basis. The noisy-system sampler
+here moves each row on its own by inverting its basis map by Gauss-Jordan and
+gathering the truth table through the inverse's point table;
+`hsmoney.polyhide` scatters the truth tables through the point tables of the
+maps themselves, built for all decoys of a system in one pass.
 The Walsh-Hadamard transform here is one radix-2 butterfly per qubit;
 `hsmoney.qsim.walsh_hadamard_raw` takes four qubits per `matmul` pass.
 Threshold repetition here measures each rank-1 sub-note on its own;
@@ -23,8 +29,21 @@ from typing import List, Tuple
 import numpy as np
 
 from hsmoney.f2lin import LinMap, Subspace, rref
+from hsmoney.polyhide import xor_mobius_inplace
 from hsmoney.qsim import Projector, StateVector, measure_projector
 from hsmoney.search import SearchProblem
+
+
+def random_subspace(n: int, dim: int, rng: np.random.Generator) -> Subspace:
+    """A uniform dim-dimensional subspace of F_2^n: dim scalar draws per try
+    until the rows are independent."""
+    if dim == 0:
+        return Subspace.zero(n)
+    while True:
+        rows = [int(rng.integers(0, 1 << n)) for _ in range(dim)]
+        reduced = rref(rows, n)
+        if len(reduced) == dim:
+            return Subspace(n, reduced)
 
 
 def complete_to_invertible(a: Subspace, rng: np.random.Generator) -> LinMap:
@@ -44,6 +63,46 @@ def complete_to_invertible(a: Subspace, rng: np.random.Generator) -> LinMap:
             r |= ((c >> i) & 1) << j
         mat_rows.append(r)
     return LinMap(a.n, tuple(mat_rows))
+
+
+def vanishing_coeff_rows(a: Subspace, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count ANF rows vanishing on A: each monomial of degree <= d that
+    touches a coordinate from dim(A) up gets a coin, then, unless A is the
+    coordinate frame, each truth table is gathered through the point table of
+    the inverse of a completed basis map."""
+    allowed = [m for m in range(1 << a.n) if bin(m).count("1") <= d and m >> a.dim]
+    coeffs = np.zeros((count, 1 << a.n), dtype=np.uint8)
+    if allowed:
+        coeffs[:, allowed] = rng.integers(0, 2, size=(count, len(allowed)), dtype=np.uint8)
+    if a.basis == tuple(1 << i for i in range(a.dim)):
+        return coeffs
+    to_frame = complete_to_invertible(a, rng).inverse()
+    truth = xor_mobius_inplace(coeffs)
+    return xor_mobius_inplace(np.take(truth, to_frame.permutation_table(), axis=1))
+
+
+def decoy_coeff_rows(n: int, dim: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count rows, each vanishing on its own fresh subspace, drawn and moved
+    one decoy after another."""
+    coeffs = np.zeros((count, 1 << n), dtype=np.uint8)
+    for i in range(count):
+        coeffs[i] = vanishing_coeff_rows(random_subspace(n, dim, rng), d, 1, rng)[0]
+    return coeffs
+
+
+def sample_noisy_system(
+    a: Subspace, d: int, m: int, eps: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """The coefficient rows and noise positions of a noisy system: a shuffle,
+    the honest rows in one batch, then the floor(eps m) decoys."""
+    n_noisy = math.floor(eps * m + 1e-9)
+    order = rng.permutation(m)
+    coeffs = np.zeros((m, 1 << a.n), dtype=np.uint8)
+    if m > n_noisy:
+        coeffs[order[n_noisy:]] = vanishing_coeff_rows(a, d, m - n_noisy, rng)
+    if n_noisy:
+        coeffs[order[:n_noisy]] = decoy_coeff_rows(a.n, a.dim, d, n_noisy, rng)
+    return coeffs, tuple(int(i) for i in order[:n_noisy])
 
 
 def amplitude_amplify(p: SearchProblem, T: int) -> StateVector:

@@ -224,11 +224,24 @@ def test_compose_matches_sequential_apply():
 
 def test_permutation_table_matches_apply():
     rng = np.random.default_rng(17)
-    n = 8
-    f = f2lin.random_invertible(n, rng)
-    table = f.permutation_table()
-    for x in range(1 << n):
-        assert table[x] == f.apply(x)
+    for n in range(1, 13):
+        f = f2lin.random_invertible(n, rng)
+        table = f.permutation_table()
+        assert table.dtype == np.int64
+        assert table.tolist() == [f.apply(x) for x in range(1 << n)]
+
+
+def test_point_tables_hold_each_maps_images():
+    """Row k of one batched table is the point table of the map whose
+    columns are row k of the input."""
+    rng = np.random.default_rng(170)
+    n = 6
+    cols = rng.integers(0, 1 << n, size=(5, n))
+    tables = f2lin.point_tables(cols)
+    assert tables.shape == (5, 1 << n)
+    for row, table in zip(cols, tables):
+        m = LinMap(n, tuple(int(c) for c in row)).transpose()
+        assert table.tolist() == [m.apply(x) for x in range(1 << n)]
 
 
 def test_complete_to_invertible_maps_coordinates_onto_subspace():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference
 from hsmoney import f2lin, polyhide, qsim
 from hsmoney.f2lin import LinMap, Subspace
 from hsmoney.polyhide import (
@@ -95,6 +96,47 @@ def test_explicit_note_draws_are_pinned():
         h.update(repr(system.noise_positions).encode())
     h.update(repr(secret.basis).encode())
     assert h.hexdigest() == EXPLICIT_NOTE_DIGEST
+
+
+# (n, dim, d, m, eps): the catalog's size; eps = 0 (no decoys); dim 0 and
+# dim n, where every subspace is the coordinate frame; n = 2, dim 1, where a
+# third of the decoys are the frame and stay unmoved; d above dim
+NOISY_CASES = [
+    (12, 6, 4, 144, 0.25),
+    (6, 3, 2, 18, 0.0),
+    (5, 0, 2, 15, 0.3),
+    (4, 4, 2, 12, 0.3),
+    (2, 1, 1, 24, 0.5),
+    (6, 2, 5, 18, 0.25),
+    (8, 4, 3, 24, 0.4),
+]
+
+
+@pytest.mark.parametrize("n, dim, d, m, eps", NOISY_CASES)
+def test_noisy_rows_match_the_inverse_gather_reference(n, dim, d, m, eps):
+    """Scattering through the completed basis's point table gives the rows
+    and generator state of gathering through its inverse's, one decoy at a
+    time with scalar draws."""
+    for seed in range(4):
+        if dim in (0, n):
+            a = Subspace.zero(n) if dim == 0 else Subspace.full(n)
+        else:
+            a = f2lin.random_subspace(n, dim, np.random.default_rng([seed, n, dim]))
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        system = sample_noisy_system(a, d, m, eps, fast)
+        coeffs, positions = dense_reference.sample_noisy_system(a, d, m, eps, slow)
+        assert np.array_equal(system.coeffs, coeffs)
+        assert system.noise_positions == positions
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+        decoys = polyhide._decoy_coeff_rows(n, dim, d, 7, fast)
+        assert np.array_equal(decoys, dense_reference.decoy_coeff_rows(n, dim, d, 7, slow))
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+        poly = sample_vanishing(a, d, fast)
+        row = dense_reference.vanishing_coeff_rows(a, d, 1, slow)[0]
+        assert np.array_equal(poly.coeff_row(), row)
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_change_basis_identity_and_pointwise():

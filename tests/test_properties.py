@@ -1,5 +1,6 @@
 """Property tests: serialization round trips, involutions and algebraic
-identities over randomly drawn small instances (n <= 8)."""
+identities over randomly drawn small instances (n <= 8; n <= 16 for the
+block-drawn subspaces and basis completions)."""
 
 from functools import lru_cache
 
@@ -7,7 +8,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hsmoney.f2lin import LinMap, Subspace
+import dense_reference
+from hsmoney.f2lin import LinMap, Subspace, complete_basis, random_subspace
 from hsmoney.hsmini import OracleBundle
 from hsmoney.money import LamportMerkleSigner, MalformedSignatureError
 from hsmoney.polyhide import PolySystem, xor_mobius_inplace
@@ -124,6 +126,19 @@ def test_linmap_identities(m):
     assert all(inv.apply(m.apply(x)) == x for x in range(1 << m.n))
     assert m.transpose().transpose() == m
     assert inv.transpose() == m.transpose().inverse()
+
+
+@small
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))), seeds)
+def test_block_draws_leave_the_generator_where_scalar_draws_do(n_dim, seed):
+    n, dim = n_dim
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    a = random_subspace(n, dim, fast)
+    assert a == dense_reference.random_subspace(n, dim, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
+    basis = complete_basis(a, fast)
+    assert LinMap(n, tuple(basis)).transpose() == dense_reference.complete_to_invertible(a, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 @lru_cache(maxsize=1)
