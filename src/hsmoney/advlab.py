@@ -2,7 +2,7 @@
 
 Tracks the cross-oracle inner-product progress measure of oracle-parametric
 probe algorithms, amplifies weak counterfeiters into strong ones with the
-monotone fixed-point backend, and measures the query cost of cloning by
+monotone fixed-point or the hybrid search, and measures the query cost of cloning by
 search (single-target and k-copy variants).
 
 Lower bounds are not "tested" here: the per-query progress bound is checked
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from .qsim import (
     measure_projector,
     oracle_for_dual_pair,
     subspace_state,
+    walsh_hadamard_raw,
 )
 from .search import (
-    SearchParams, SearchProblem, amplitude_amplify, fixed_point_rounds, hybrid_search,
-    measure_restore,
+    SearchParams, SearchProblem, amplitude_amplify, cleanup_rounds, fixed_point_rounds, hybrid_draws,
+    hybrid_search, measure_restore,
 )
 
 
@@ -150,24 +151,40 @@ class ProgressTrace:
 class Probe:
     """Oracle-parametric circuit: same gates, different oracle.
 
-    run_pair returns |<Psi_t^U|Psi_t^V>| for t = 0..queries; unitaries
-    applied between queries are shared by both runs, so snapshots taken
-    right after each query capture the full inner-product evolution.
+    run_pair returns |<Psi_t^U|Psi_t^V>| for t = 0..queries. Both runs start
+    from `setup`'s two states and apply its unitary after each query; the
+    unitary is shared by both runs, so snapshots taken right after each query
+    capture the full inner-product evolution. Each overlap is scaled by
+    `setup`'s constant factor, the overlap of registers the probe never
+    touches.
     """
 
     name = "probe"
-    queries = 0
+
+    def __init__(self, queries: int = 0):
+        self.queries = queries
+
+    def setup(
+        self, sample: PairSample, rng: np.random.Generator
+    ) -> Tuple[StateVector, StateVector, float, Callable[[StateVector], StateVector]]:
+        """The two start states, the constant overlap factor and the unitary
+        applied after each query: here the sample's states, 1 and the identity."""
+        return sample.init_u, sample.init_v, 1.0, lambda s: s
 
     def run_pair(self, sample: PairSample, rng: np.random.Generator) -> List[float]:
-        raise NotImplementedError
+        su, sv, held, after = self.setup(sample, rng)
+        out = [held * su.overlap(sv)]
+        for _ in range(self.queries):
+            su = after(sample.oracle_u.apply(su))
+            sv = after(sample.oracle_v.apply(sv))
+            out.append(held * su.overlap(sv))
+        return out
 
 
 class IdleProbe(Probe):
-    name = "idle"
-    queries = 0
+    """The zero-query probe: the start states' overlap alone."""
 
-    def run_pair(self, sample: PairSample, rng: np.random.Generator) -> List[float]:
-        return [sample.init_u.overlap(sample.init_v)]
+    name = "idle"
 
 
 class OracleEchoProbe(Probe):
@@ -175,17 +192,8 @@ class OracleEchoProbe(Probe):
 
     name = "oracle-echo"
 
-    def __init__(self, queries: int = 6):
-        self.queries = queries
-
-    def run_pair(self, sample: PairSample, rng: np.random.Generator) -> List[float]:
-        su, sv = sample.init_u, sample.init_v
-        out = [su.overlap(sv)]
-        for _ in range(self.queries):
-            su = hadamard_all(sample.oracle_u.apply(su))
-            sv = hadamard_all(sample.oracle_v.apply(sv))
-            out.append(su.overlap(sv))
-        return out
+    def setup(self, sample, rng):
+        return sample.init_u, sample.init_v, 1.0, hadamard_all
 
 
 class ScrambleProbe(Probe):
@@ -194,26 +202,12 @@ class ScrambleProbe(Probe):
 
     name = "scramble"
 
-    def __init__(self, queries: int = 6):
-        self.queries = queries
-
-    def run_pair(self, sample: PairSample, rng: np.random.Generator) -> List[float]:
+    def setup(self, sample, rng):
         dim = len(sample.init_u.amps)
         d1 = np.exp(2j * np.pi * rng.random(dim))
         d2 = np.exp(2j * np.pi * rng.random(dim))
-
-        def mix(s: StateVector) -> StateVector:
-            return StateVector._wrap(
-                s.n_qubits, d2 * hadamard_all(StateVector._wrap(s.n_qubits, d1 * s.amps)).amps
-            )
-
-        su, sv = sample.init_u, sample.init_v
-        out = [su.overlap(sv)]
-        for _ in range(self.queries):
-            su = mix(sample.oracle_u.apply(su))
-            sv = mix(sample.oracle_v.apply(sv))
-            out.append(su.overlap(sv))
-        return out
+        return sample.init_u, sample.init_v, 1.0, lambda s: StateVector._wrap(
+            s.n_qubits, d2 * walsh_hadamard_raw(d1 * s.amps))
 
 
 class CloneSearchProbe(Probe):
@@ -225,25 +219,15 @@ class CloneSearchProbe(Probe):
 
     name = "clone-search"
 
-    def __init__(self, queries: int = 8):
-        self.queries = queries
-
-    def run_pair(self, sample: PairSample, rng: np.random.Generator) -> List[float]:
+    def setup(self, sample, rng):
         held = sample.init_u.overlap(sample.init_v)
-        n = sample.init_u.n_qubits
-        uniform = StateVector.uniform(n)
+        uniform = StateVector.uniform(sample.init_u.n_qubits)
 
         def diffuse(s: StateVector) -> StateVector:
             c = np.vdot(uniform.amps, s.amps)
-            return StateVector._wrap(n, 2.0 * c * uniform.amps - s.amps)
+            return StateVector._wrap(s.n_qubits, 2.0 * c * uniform.amps - s.amps)
 
-        au, av = uniform, uniform
-        out = [held * au.overlap(av)]
-        for _ in range(self.queries):
-            au = diffuse(sample.oracle_u.apply(au))
-            av = diffuse(sample.oracle_v.apply(av))
-            out.append(held * au.overlap(av))
-        return out
+        return uniform, uniform, held, diffuse
 
 
 def default_probes() -> List[Probe]:
@@ -255,14 +239,7 @@ def track_progress(
 ) -> ProgressTrace:
     """Average the cross-oracle inner product after every query over sampled
     oracle pairs; reports standard errors alongside."""
-    rows: Optional[np.ndarray] = None
-    for i in range(trials):
-        sample = relation.sample(rng)
-        vals = np.asarray(probe.run_pair(sample, rng))
-        if rows is None:
-            rows = np.empty((trials, len(vals)))
-        rows[i] = vals
-    assert rows is not None
+    rows = np.array([probe.run_pair(relation.sample(rng), rng) for _ in range(trials)])
     means = rows.mean(axis=0)
     sems = rows.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(means)
     return ProgressTrace(list(map(float, means)), relation.eps_bound, list(map(float, sems)))
@@ -360,6 +337,17 @@ class AmplifyResult:
     converged: bool
 
 
+def amplify_backend(eps: float, delta: float) -> Tuple[bool, float]:
+    """Whether `amplify_counterfeiter` runs the hybrid schedule, which it does
+    where delta >= 2 sqrt(eps) makes it cheaper than the fixed-point search,
+    and the longest loop of the backend it runs, before rounding up: the
+    hybrid's draws L or clean-up rounds R, or the fixed-point rounds."""
+    eps_fid = math.sqrt(eps)
+    if delta >= 2 * eps_fid:
+        return True, max(hybrid_draws(eps_fid), cleanup_rounds(delta))
+    return False, fixed_point_rounds(eps_fid ** 2, delta)
+
+
 def amplify_counterfeiter(
     c: Counterfeiter,
     scheme: MiniScheme,
@@ -372,18 +360,17 @@ def amplify_counterfeiter(
     passing with probability >= 1 - delta.
 
     C(|note>|0>) is the start state and the doubled verification target the
-    goal; the backend is the monotone fixed-point search, or the randomized
-    hybrid schedule when delta >= 2 sqrt(eps) makes it cheaper. Each goal
-    measurement is a double verification (two verifier queries); reflecting
-    about or restoring the start state costs one C, one C inverse, and one
-    verifier query.
+    goal; `amplify_backend` picks the monotone fixed-point search or the
+    randomized hybrid schedule. Each goal call is a double verification (two
+    verifier queries); each init call, a reflection about or a restoration
+    of the start state, costs one C, one C inverse, and one verifier query.
     """
     target = scheme.target_state(note.serial)
     if target is None:
         raise ValueError("amplification needs a projective scheme")
     init = c.apply(note.state)
     goal_state = target.tensor(target)
-    goal = Projector.onto_state(goal_state)
+    problem = SearchProblem(init, Projector.onto_state(goal_state, charge_to=CountedOracle("U_goal")))
     start_fidelity = goal_state.overlap(init)
     if start_fidelity ** 2 < eps * 0.5:
         warnings.warn(
@@ -391,47 +378,18 @@ def amplify_counterfeiter(
             f"{start_fidelity ** 2:.4f})",
             RuntimeWarning,
         )
-    eps_fid = math.sqrt(eps)
-    if delta >= 2 * eps_fid:
-        return _amplify_hybrid(c, init, goal_state, eps_fid, delta, rng)
-    rounds_budget = max(1, math.ceil(fixed_point_rounds(eps_fid ** 2, delta)))
-    s, rounds, converged = measure_restore(goal, init, rounds_budget, rng)
-    restores = rounds - converged
-    c.charge(2 * restores)  # one forward and one inverse call per restore
-    ver_queries = 2 * rounds + restores
-    return AmplifyResult(state=s, queries=ver_queries + c.query_count, rounds=rounds, converged=converged)
-
-
-def _amplify_hybrid(
-    c: Counterfeiter,
-    init: StateVector,
-    goal_state: StateVector,
-    eps_fid: float,
-    delta: float,
-    rng: np.random.Generator,
-) -> AmplifyResult:
-    """Hybrid-schedule amplification for the delta >= 2 sqrt(eps) regime.
-
-    The search's init-oracle calls translate to one C, one C inverse, and one
-    verifier query each (reflecting about C's output); goal calls are double
-    verifications.
-    """
-    goal = Projector.onto_state(goal_state, charge_to=CountedOracle("U_goal"))
-    problem = SearchProblem(init, goal)
-    params = SearchParams(eps=eps_fid, delta=delta)
-    trace: dict = {}
-    out, _ = hybrid_search(problem, params, rng, trace=trace)
+    hybrid, steps = amplify_backend(eps, delta)
+    if hybrid:
+        trace: dict = {}
+        state, _ = hybrid_search(problem, SearchParams(eps=math.sqrt(eps), delta=delta), rng, trace=trace)
+        rounds, converged = trace["rounds"], goal_state.overlap(state) >= 1 - delta
+    else:
+        state, rounds, converged = measure_restore(
+            problem.goal_projector, init, max(1, math.ceil(steps)), rng, charge_to=problem.init_oracle)
     init_calls = problem.init_oracle.query_count
-    goal_calls = goal.charge_to.query_count
     c.charge(2 * init_calls)
-    ver_queries = 2 * goal_calls + init_calls
-    converged = goal_state.overlap(out) >= 1 - delta
-    return AmplifyResult(
-        state=out,
-        queries=ver_queries + c.query_count,
-        rounds=trace.get("rounds", 0),
-        converged=converged,
-    )
+    queries = 2 * problem.goal_projector.charge_to.query_count + init_calls + c.query_count
+    return AmplifyResult(state=state, queries=queries, rounds=rounds, converged=converged)
 
 
 def amplify_counterfeiter_state(

@@ -153,7 +153,9 @@ def _run_report(cfg: ExperimentConfig, out: Optional[str]) -> int:
 def _cmd_run(args) -> int:
     names = {f.name for f in fields(ExperimentConfig)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
-    given["workers"] = args.workers if args.workers > 0 else (os.cpu_count() or 1)
+    if args.workers < 0:
+        raise ValueError(f"workers must be 0 (available parallelism) or more, got {args.workers}")
+    given["workers"] = args.workers or os.cpu_count() or 1
     return _run_report(ExperimentConfig(**given), args.out)
 
 

@@ -682,6 +682,8 @@ _SCHEDULE_CAP = 1 << 24
 _TRIALS_CAP = 1 << 16
 # Most bytes of a composite note's k dense sub-notes, built as notes and again as stacked targets.
 _NOTES_BYTES_CAP = 1 << 30
+# Most sub-note verifications of completeness-amplification; its defaults make 660,000.
+_COMPOSITE_WORK_CAP = 1 << 20
 
 
 def _within(name: str, interval: str, test: Callable) -> Check:
@@ -709,19 +711,20 @@ def _schedule(name: str, steps: Callable[[ExperimentConfig], float]) -> Check:
         f"a search schedule of {steps(cfg):.3g} steps, above the cap of {_SCHEDULE_CAP}")
 
 
-def _amplify_steps(cfg: ExperimentConfig) -> float:
-    """The fixed-point rounds of amplify-counterfeiter, and the hybrid's L and R
-    too where delta >= 2 sqrt(eps) makes advlab.amplify_counterfeiter run it."""
-    fid = math.sqrt(cfg.eps)
-    hybrid = (search.hybrid_draws(fid), search.cleanup_rounds(cfg.delta)) if cfg.delta >= 2 * fid else ()
-    return max((search.fixed_point_rounds(fid ** 2, cfg.delta), *hybrid))
-
-
 def _table_rows(cfg: ExperimentConfig) -> Optional[str]:
     """ceil(beta n) polynomials of one coefficient byte per point of F_2^n."""
-    return None if cfg.beta * cfg.n <= (1 << config.F2_DIM_CAP) >> cfg.n else (
+    return None if polyhide.table_fits(polyhide.system_rows(cfg.beta, cfg.n), cfg.n) else (
         f"beta={cfg.beta} sets ceil(beta n) rows of 2^n coefficient bytes at n={cfg.n}, "
         f"above the table cap 2^{config.F2_DIM_CAP}")
+
+
+def _composite_work(cfg: ExperimentConfig) -> Optional[str]:
+    """k sub-notes per composite verification: trials of them, and two per
+    reduction trial."""
+    work = cfg.k * (cfg.trials + 2 * max(200, cfg.trials // 20))
+    return None if work <= _COMPOSITE_WORK_CAP else (
+        f"k={cfg.k} at trials={cfg.trials} sets {work} sub-note verifications, "
+        f"above the cap of {_COMPOSITE_WORK_CAP}")
 
 
 def _samples(cfg: ExperimentConfig) -> Optional[str]:
@@ -778,7 +781,9 @@ CATALOG: Dict[str, ExperimentSpec] = {spec.id: spec for spec in (
         "amplify-counterfeiter", "a weak counterfeiter is boosted to near-perfect double-verification",
         # the goal is the doubled note, on 2n qubits
         dict(n=_qubits(8, hi=lambda cfg: config.qubit_cap() // 2), delta=Option(0.05, _DELTA),
-             eps=Option(0.2, _EPS_PROMISE, _schedule("eps", _amplify_steps)), trials=Option(200, _TRIALS)),
+             eps=Option(0.2, _EPS_PROMISE,
+                        _schedule("eps", lambda cfg: advlab.amplify_backend(cfg.eps, cfg.delta)[1])),
+             trials=Option(200, _TRIALS)),
         run_amplify_counterfeiter),
     ExperimentSpec(
         "innerprod-progress", "per-query drop of the cross-oracle inner product stays within 4 sqrt(eps)",
@@ -824,7 +829,7 @@ CATALOG: Dict[str, ExperimentSpec] = {spec.id: spec for spec in (
              k=Option(60, _count("k", 1, lambda cfg: _NOTES_BYTES_CAP >> cfg.n + 4)),
              eta=Option(0.1, lambda cfg: _within("eta", f"(0, 1/2 - eps) at eps={cfg.eps}",
                                                  lambda v: 0 < v < 0.5 - cfg.eps)(cfg)),
-             trials=Option(10_000, _TRIALS)), run_completeness_amplification),
+             trials=Option(10_000, _TRIALS, _composite_work)), run_completeness_amplification),
     ExperimentSpec(
         "money-end-to-end", "signed hidden-subspace notes verify honestly and both forgery families reject",
         dict(n=_qubits(10), trials=Option(1000, _TRIALS)), run_money_end_to_end),

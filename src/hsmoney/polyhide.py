@@ -313,6 +313,7 @@ class PolySystem:
         eps = float(head["eps"])
         if not 0 < n <= config.qubit_cap():
             raise ValueError(f"{n} variables outside (0, {config.qubit_cap()}]")
+        check_table(m, n)
         if len(lines) - 1 != m:
             raise ValueError(f"header claims {m} polynomials, found {len(lines) - 1}")
         coeffs = np.zeros((m, 1 << n), dtype=np.uint8)
@@ -332,6 +333,17 @@ class PolySystem:
         return cls(n, d, eps, coeffs)
 
 
+def table_fits(m: int, n: int) -> bool:
+    """Whether m coefficient rows over the 2^n points of F_2^n, one byte per
+    (row, point), fit the table cap of 2^F2_DIM_CAP bytes."""
+    return m << n <= 1 << config.F2_DIM_CAP
+
+
+def check_table(m: int, n: int) -> None:
+    if not table_fits(m, n):
+        raise ValueError(f"{m} rows over 2^{n} points exceed the table cap 2^{config.F2_DIM_CAP}")
+
+
 def sample_noisy_system(
     a: Subspace, d: int, m: int, eps: float, rng: np.random.Generator
 ) -> PolySystem:
@@ -341,11 +353,7 @@ def sample_noisy_system(
         raise ValueError("noise rate must lie in [0, 1)")
     if a.n > config.qubit_cap():
         raise ValueError(f"{a.n} variables exceed the cap {config.qubit_cap()}")
-    if m << a.n > 1 << config.F2_DIM_CAP:
-        # the coefficient table holds one byte per (row, point)
-        raise ValueError(
-            f"{m} rows over 2^{a.n} points exceed the table cap 2^{config.F2_DIM_CAP}"
-        )
+    check_table(m, a.n)
     n_noisy = math.floor(eps * m + 1e-9)
     order = rng.permutation(m)
     noisy_positions = tuple(int(i) for i in order[:n_noisy])

@@ -240,12 +240,7 @@ def count_near_lattice(L: int, beta: float, eta: float, gamma: float) -> int:
     return count
 
 
-def planted_problem(
-    n: int,
-    overlap: float,
-    rng: np.random.Generator,
-    goal_count: Optional[int] = None,
-) -> SearchProblem:
+def planted_problem(n: int, overlap: float, rng: np.random.Generator) -> SearchProblem:
     """Search instance with exactly known initial goal fidelity.
 
     The goal is a random set of basis states; the start state is built as
@@ -254,9 +249,7 @@ def planted_problem(
     if not 0 < overlap <= 1:
         raise ValueError("overlap must lie in (0, 1]")
     dim = 1 << n
-    if goal_count is None:
-        goal_count = dim // 4
-    goal_count = max(1, min(goal_count, dim - 1))
+    goal_count = max(1, min(dim // 4, dim - 1))
     perm = rng.permutation(dim)
     goal_idx = perm[:goal_count]
     rest_idx = perm[goal_count:]

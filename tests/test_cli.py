@@ -7,7 +7,7 @@ import re
 import pytest
 
 from hsmoney.cli import EXIT_OK, EXIT_USAGE, main
-from hsmoney.experiments import CATALOG, ExperimentConfig, run_experiment
+from hsmoney.experiments import CATALOG, ExperimentConfig, ExperimentOutcome, run_experiment
 
 
 def test_catalog_lists_all(capsys):
@@ -156,6 +156,7 @@ def test_qubit_cap_env_override(monkeypatch):
         (".state", "n=21\n0 1.0 0.0\n"),  # beyond the qubit cap
         (".primal", "n=21 d=4 m=1 eps=0.25\n-\n"),  # beyond the qubit cap
         (".primal", "n=6 d=4 m=1 eps=0.25\nx9\n"),  # variable outside n
+        (".primal", "n=20 d=2 m=32 eps=0.0\n" + "-\n" * 32),  # 32 MiB of coefficients: twice the cap
         (".primal", "n=6 d=4 m=1\n-\n"),  # header without eps
         (".primal", ""),  # no header
     ],
@@ -232,6 +233,7 @@ def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
           for cmd, out in (("attack-d1", []), ("mint-explicit", ["--out", "unused"]))
           for beta in ("inf", "nan", "-1", "0")],
         ["run", "attack-d1", "--trials", "2", "--workers", "1", "--out", "no/such/dir/r.jsonl"],
+        ["run", "duality-check", "--trials", "1", "--workers", "-3"],
         # delta must lie in (0, 1), before log(1/delta) or the schedule reads it
         *[["run", "amplify-counterfeiter", "--trials", "1", "--workers", "1", *delta]
           for delta in (["--delta", "0"], ["--delta", "nan"], ["--delta", "-1"],
@@ -269,22 +271,40 @@ def test_out_of_range_eps_is_a_usage_error_before_any_trial(monkeypatch, capsys,
 
 
 @pytest.mark.parametrize(
-    "experiment, eps",
-    [(experiment, eps)
-     for experiment in ("fixed-point-monotone", "hybrid-search-budget", "amplify-counterfeiter")
-     # eps ** 2 underflows, 1/eps overflows int64, 1/eps is inf, the schedule passes 2^24
-     for eps in ("1e-300", "1e-20", "5e-324", "1e-9")],
+    "experiment, eps, delta",
+    [*[(experiment, eps, "")
+       for experiment in ("fixed-point-monotone", "hybrid-search-budget", "amplify-counterfeiter")
+       # eps ** 2 underflows, 1/eps overflows int64, 1/eps is inf
+       for eps in ("1e-300", "1e-20", "5e-324")],
+     # the schedule passes 2^24
+     ("fixed-point-monotone", "1e-9", ""),
+     ("hybrid-search-budget", "1e-9", ""),
+     # amplify-counterfeiter counts only the backend it runs: L = 1e8 hybrid draws at
+     # delta 0.05, and 2.2e7 fixed-point rounds at delta 1e-3 < 2 sqrt(eps)
+     ("amplify-counterfeiter", "1e-12", ""),
+     ("amplify-counterfeiter", "4e-7", "1e-3")],
 )
 def test_eps_setting_an_endless_schedule_is_a_usage_error_before_any_trial(
-    monkeypatch, capsys, experiment, eps
+    monkeypatch, capsys, experiment, eps, delta
 ):
     def runner(cfg):
         raise AssertionError("a trial ran")
 
     monkeypatch.setitem(CATALOG, experiment, dataclasses.replace(CATALOG[experiment], runner=runner))
-    assert main(["run", experiment, "--trials", "1", "--workers", "1", "--eps", eps]) == EXIT_USAGE
+    argv = ["run", experiment, "--trials", "1", "--workers", "1", "--eps", eps] + (["--delta", delta] if delta else [])
+    assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: eps={float(eps)} is too small")
+
+
+def test_amplify_eps_bound_ignores_the_fixed_point_schedule_the_hybrid_replaces(monkeypatch):
+    # at delta 0.05, eps 1e-9 runs the hybrid (L 3.2e6, R 62,500), not 3.7e9 fixed-point rounds
+    reached = []
+    experiment = "amplify-counterfeiter"
+    monkeypatch.setitem(CATALOG, experiment, dataclasses.replace(
+        CATALOG[experiment], runner=lambda cfg: reached.append(cfg) or ExperimentOutcome([], {}, True)))
+    assert main(["run", experiment, "--trials", "1", "--workers", "1", "--eps", "1e-9"]) == EXIT_OK
+    assert [cfg.eps for cfg in reached] == [1e-9]
 
 
 @pytest.mark.parametrize("experiment", ["attack-adaptive", "keyed-contrast"])
@@ -324,6 +344,9 @@ def test_delta_setting_endless_clean_up_is_a_usage_error_before_any_trial(monkey
         (["attack-d1", "--d", "0"], "d"),  # attack-d1 reads no d
         (["clone-search", "--eps", "5"], "eps"),  # clone-search reads no eps
         (["duality-check", "--trials", str(2 ** 62)], "trials"),
+        # k (trials + 2 max(200, trials // 20)) sub-note verifications past 2^20
+        (["completeness-amplification", "--n", "2", "--trials", "1", "--k", "2615"], "k"),
+        (["completeness-amplification", "--trials", "65536"], "trials"),
     ],
 )
 def test_options_outside_their_declaration_are_usage_errors_before_any_trial(monkeypatch, capsys, argv, option):
