@@ -367,7 +367,7 @@ def amplify_counterfeiter(
     """
     target = scheme.target_state(note.serial)
     if target is None:
-        raise ValueError("amplification needs a projective scheme")
+        raise ValueError("amplification needs an issued serial")
     init = c.apply(note.state)
     goal_state = target.tensor(target)
     problem = SearchProblem(init, Projector.onto_state(goal_state, charge_to=CountedOracle("U_goal")))

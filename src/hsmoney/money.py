@@ -36,12 +36,13 @@ class Banknote:
 class MiniScheme:
     """Bank/Ver pair issuing (serial, money state) banknotes.
 
-    Subclasses set `n` (qubits per money state) and `completeness_error`, and
-    implement `bank` and `verify_post`. Projective schemes return their
-    rank-1 target from `target_state`. Wrappers add classical coins through
-    `reject_rates`: after a quantum acceptance, `classical_accept` tosses one
-    uniform per rate, in order, while each passes (a coin below its rate
-    rejects).
+    A mini-scheme is its rank-1 target plus its coins. Subclasses set `n`
+    (qubits per money state) and `completeness_error`, and implement `bank`
+    and `target_state`. `verify_post` measures {|t><t|, I - |t><t|} for the
+    serial's target t; after a quantum acceptance, `classical_accept` tosses
+    one uniform per rate of `reject_rates`, in order, while each passes (a
+    coin below its rate rejects). A scheme may verify by another circuit with
+    the same statistics, as the two-basis test does.
     """
 
     n: int
@@ -52,8 +53,9 @@ class MiniScheme:
         raise NotImplementedError
 
     def target_state(self, serial: bytes) -> Optional[StateVector]:
-        """Rank-1 verification target, or None for non-projective schemes."""
-        return None
+        """Rank-1 verification target, or None when the verifier rejects the
+        serial without measuring it."""
+        raise NotImplementedError
 
     def classical_accept(self, rng: np.random.Generator) -> bool:
         return all(rng.random() >= rate for rate in self.reject_rates)
@@ -61,7 +63,11 @@ class MiniScheme:
     def verify_post(
         self, serial: bytes, state: StateVector, rng: np.random.Generator
     ) -> Tuple[bool, StateVector]:
-        raise NotImplementedError
+        target = self.target_state(serial)
+        if target is None:
+            return False, state
+        ok, post, _ = measure_projector(Projector.onto_state(target), state, rng)
+        return ok and self.classical_accept(rng), post
 
     def verify(self, serial: bytes, state: StateVector, rng: np.random.Generator) -> bool:
         ok, _ = self.verify_post(serial, state, rng)
@@ -92,28 +98,30 @@ def verify2_post(
     states: JointInput,
     rng: np.random.Generator,
     keep_post: bool = True,
-) -> Tuple[bool, Optional[StateVector]]:
-    """Double verifier: both single verifications, the first on the low
-    register and the second on the top one. A pair (sigma, xi) is the product
-    state sigma (low) tensor xi (top), so each register is measured on its own
-    2^n amplitudes and the joint post state is built only when asked for; a
-    joint `StateVector`, which may be entangled, is measured as a whole. With
-    `keep_post=False` the post state after the second measurement, which only
-    the caller could read, is not built and None stands in for it; the draws
-    are the same."""
+) -> Tuple[bool, Optional[JointInput]]:
+    """Double verifier: both single verifications of `m.verify_post`'s
+    contract, the first on the low register and the second on the top one.
+    A pair (sigma, xi) is the product state sigma (low) tensor xi (top), so
+    each register is measured on its own 2^n amplitudes and the joint post
+    state is built only when asked for; a joint `StateVector`, which may be
+    entangled, is measured as a whole. A serial without a target rejects the
+    input unmeasured, as it is given. With `keep_post=False` the post state
+    after the second measurement, which only the caller could read, is not
+    built and None stands in for it; the draws are the same."""
+    joint = isinstance(states, StateVector)
+    if joint and states.n_qubits != 2 * m.n:
+        raise ValueError("joint register must hold exactly two money states")
+    if not joint and any(s.n_qubits != m.n for s in states):
+        raise ValueError("each register of the pair must hold one money state")
     target = m.target_state(serial)
     if target is None:
-        raise ValueError("double verification needs a projective scheme")
-    if isinstance(states, StateVector):
-        if states.n_qubits != 2 * m.n:
-            raise ValueError("joint register must hold exactly two money states")
+        return False, states
+    if joint:
         ok1, amps = measure_register(states.amps, target, rng)
         ok1 = ok1 and m.classical_accept(rng)
         ok2, amps = measure_register(amps, target, rng, top=True, keep_post=keep_post)
         ok2 = ok2 and m.classical_accept(rng)
         return ok1 and ok2, StateVector._wrap(states.n_qubits, amps) if keep_post else None
-    if any(s.n_qubits != m.n for s in states):
-        raise ValueError("each register of the pair must hold one money state")
     if keep_post:
         check_qubits(2 * m.n)
     ok1, low = measure_register(states[0].amps, target, rng, keep_post=keep_post)
@@ -292,20 +300,19 @@ class ComposedScheme:
         note = self.mini.bank(rng)
         return MoneyNote(note.serial, self.signer.sign(sk, note.serial), note.state)
 
-    def verify(self, pk, note: MoneyNote, rng: np.random.Generator) -> bool:
+    def signed(self, pk, serial: bytes, signature: bytes) -> bool:
+        """Whether the signature on the serial verifies; a malformed one does not."""
         try:
-            sig_ok = self.signer.sverify(pk, note.serial, note.signature)
+            return self.signer.sverify(pk, serial, signature)
         except MalformedSignatureError:
             return False
-        if not sig_ok:
-            return False
-        return self.mini.verify(note.serial, note.state, rng)
+
+    def verify(self, pk, note: MoneyNote, rng: np.random.Generator) -> bool:
+        return self.signed(pk, note.serial, note.signature) and self.mini.verify(note.serial, note.state, rng)
 
     def verify_post(self, pk, note: MoneyNote, rng: np.random.Generator) -> Tuple[bool, StateVector]:
-        try:  # a note whose signature fails is rejected unmeasured, as in verify
-            if not self.signer.sverify(pk, note.serial, note.signature):
-                return False, note.state
-        except MalformedSignatureError:
+        # a note whose signature fails is rejected unmeasured, as in verify
+        if not self.signed(pk, note.serial, note.signature):
             return False, note.state
         return self.mini.verify_post(note.serial, note.state, rng)
 
@@ -325,13 +332,16 @@ class WrappedAsMini(MiniScheme):
     """A full money scheme repackaged as a mini-scheme (serial := pk || serial || sig).
 
     A fresh key pair backs every banknote, so the wrapper never needs a key
-    of its own.
+    of its own. Its rank-1 view is the inner mini-scheme's target and coins
+    behind the signature check: a malformed serial or a failed signature has
+    no target.
     """
 
     def __init__(self, scheme: ComposedScheme):
         self.scheme = scheme
         self.n = scheme.n
         self.completeness_error = scheme.completeness_error
+        self.reject_rates = scheme.mini.reject_rates
 
     @staticmethod
     def _pack(parts: Sequence[bytes]) -> bytes:
@@ -341,15 +351,15 @@ class WrappedAsMini(MiniScheme):
         return out
 
     @staticmethod
-    def _unpack(blob: bytes) -> List[bytes]:
-        parts = []
-        off = 0
-        while off < len(blob):
-            ln = int.from_bytes(blob[off : off + 4], "big")
-            off += 4
-            parts.append(blob[off : off + ln])
-            off += ln
-        return parts
+    def _unpack(blob: bytes) -> Optional[List[bytes]]:
+        """The three packed parts, or None unless the blob is exactly three
+        whole length-prefixed parts."""
+        parts, off = [], 0
+        while off + 4 <= len(blob):
+            end = off + 4 + int.from_bytes(blob[off : off + 4], "big")
+            parts.append(blob[off + 4 : end])
+            off = end
+        return parts if off == len(blob) and len(parts) == 3 else None
 
     def bank(self, rng: np.random.Generator) -> Banknote:
         sk, pk = self.scheme.keygen(rng)
@@ -357,11 +367,16 @@ class WrappedAsMini(MiniScheme):
         return Banknote(self._pack([pk, note.serial, note.signature]), note.state)
 
     def target_state(self, serial: bytes) -> Optional[StateVector]:
-        _, inner_serial, _ = self._unpack(serial)
-        return self.scheme.mini.target_state(inner_serial)
+        parts = self._unpack(serial)
+        if parts is None or not self.scheme.signed(*parts):
+            return None
+        return self.scheme.mini.target_state(parts[1])
 
     def verify_post(self, serial, state, rng):
-        pk, inner_serial, sig = self._unpack(serial)
+        parts = self._unpack(serial)
+        if parts is None:
+            return False, state
+        pk, inner_serial, sig = parts
         return self.scheme.verify_post(pk, MoneyNote(inner_serial, sig, state), rng)
 
 
@@ -454,15 +469,6 @@ class ArtificiallyNoisyScheme(MiniScheme):
 
     def verify(self, serial: bytes, state: StateVector, rng: np.random.Generator) -> bool:
         return self.verify_all((serial,), (state,), rng) == 1
-
-    def verify_post(
-        self, serial: bytes, state: StateVector, rng: np.random.Generator
-    ) -> Tuple[bool, StateVector]:
-        target = self.target_state(serial)
-        if target is None:
-            return False, state
-        ok, post, _ = measure_projector(Projector.onto_state(target), state, rng)
-        return ok and self.classical_accept(rng), post
 
     def bank(self, rng: np.random.Generator) -> Banknote:
         return self.base.bank(rng)

@@ -276,11 +276,9 @@ class PolySystem:
     def weight(self, v: int) -> int:
         if v < 0 or v >> self.n_vars:
             raise ValueError("point does not fit the variable count")
-        total = 0
-        for row in self.coeffs:
-            masks = np.flatnonzero(row)
-            total += int(((v & masks) == masks).sum() & 1)
-        return total
+        # the monomials that evaluate to 1 at v are the subsets of v
+        idx = np.arange(1 << self.n_vars)
+        return int((self.coeffs[:, (idx & v) == idx].sum(axis=1) & 1).sum())
 
     def is_degenerate(self) -> bool:
         return not self.coeffs.any()

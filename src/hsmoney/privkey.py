@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config
 from .f2lin import Subspace, random_subspace
-from .qsim import Projector, StateVector, measure_projector, measure_register, subspace_state
+from .qsim import StateVector, measure_register, subspace_state
 
 # BB84 codes: 0 -> |0>, 1 -> |1>, 2 -> |+>, 3 -> |->
 BB84_VECTORS = (
@@ -242,6 +242,22 @@ class AdaptiveAttackResult:
     queries: int
 
 
+def _swap_out(bank, samples_per_candidate: Optional[int], submit) -> AdaptiveAttackResult:
+    """The swap-out attack: for qubit i and candidate b, estimate the pass
+    rate of `submit(i, b) -> bool` from samples_per_candidate submissions
+    (None means default_samples_per_candidate(n)), and recover each qubit as
+    its best-passing candidate. The queries are those the bank counted."""
+    n = bank.n
+    samples = samples_per_candidate or default_samples_per_candidate(n)
+    before = bank.verify_queries
+    rates = np.zeros((n, 4))
+    for i in range(n):
+        for b in range(4):
+            rates[i, b] = sum(submit(i, b) for _ in range(samples)) / samples
+    recovered = [int(np.argmax(rates[i])) for i in range(n)]
+    return AdaptiveAttackResult(recovered, rates, bank.verify_queries - before)
+
+
 def adaptive_attack(
     bank: NaiveBank,
     note: WiesnerNote,
@@ -254,28 +270,15 @@ def adaptive_attack(
     fresh |b> in slot i (keeping the original qubit aside) and estimates the
     acceptance rate; the bank measures the other qubits in their correct
     bases, so they come back undamaged and the same note serves every query.
-    None samples per candidate means default_samples_per_candidate(n).
     """
-    n = bank.n
-    samples = samples_per_candidate or default_samples_per_candidate(n)
-    before = bank.verify_queries
-    rates = np.zeros((n, 4))
-    for i in range(n):
-        kept = note.qubits[i]
-        for b in range(4):
-            hits = 0
-            for _ in range(samples):
-                probe = list(note.qubits)
-                probe[i] = b
-                ok, post = bank.verify(note.serial, probe, rng)
-                hits += ok
-                # reclaim everything except the sacrificed candidate slot
-                note.qubits = post
-                note.qubits[i] = kept
-            rates[i, b] = hits / samples
-        note.qubits[i] = kept
-    recovered = [int(np.argmax(rates[i])) for i in range(n)]
-    return AdaptiveAttackResult(recovered, rates, bank.verify_queries - before)
+
+    def submit(i: int, b: int) -> bool:
+        ok, post = bank.verify(note.serial, note.qubits[:i] + [b] + note.qubits[i + 1 :], rng)
+        # reclaim everything except the sacrificed candidate slot
+        note.qubits = post[:i] + [note.qubits[i]] + post[i + 1 :]
+        return ok
+
+    return _swap_out(bank, samples_per_candidate, submit)
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +330,12 @@ class KeyedSubspaceBank:
     def verify(
         self, serial: bytes, state: StateVector, rng: np.random.Generator
     ) -> Tuple[bool, StateVector]:
+        """Measure the rank-1 projector on qubits 0..n-1 of a state of at
+        least n qubits, leaving the rest alone."""
         self.verify_queries += 1
         target = subspace_state(self.subspace_for(serial))
-        ok, post, _ = measure_projector(Projector.onto_state(target), state, rng)
-        return ok, post
-
-    def verify_note_register(
-        self, serial: bytes, joint: StateVector, rng: np.random.Generator
-    ) -> Tuple[bool, StateVector]:
-        """Verify qubits 0..n-1 of a larger register, leaving the rest alone."""
-        self.verify_queries += 1
-        target = subspace_state(self.subspace_for(serial))
-        ok, post = measure_register(joint.amps, target, rng)
-        return ok, StateVector._wrap(joint.n_qubits, post)
+        ok, post = measure_register(state.amps, target, rng)
+        return ok, StateVector._wrap(state.n_qubits, post)
 
 
 def _swap_qubits(amps: np.ndarray, n_qubits: int, q1: int, q2: int) -> np.ndarray:
@@ -362,16 +358,9 @@ def _insert_candidate(state: StateVector, i: int, code: int) -> StateVector:
 
 def _discard_top_qubit(state: StateVector, rng: np.random.Generator) -> StateVector:
     """Trace out the top qubit by measuring it in the computational basis."""
-    n = state.n_qubits
-    half = 1 << (n - 1)
-    low = state.amps[:half]
-    high = state.amps[half:]
-    p0 = float(np.vdot(low, low).real)
-    if rng.random() < p0:
-        kept = low / math.sqrt(p0)
-    else:
-        kept = high / math.sqrt(max(1e-300, 1.0 - p0))
-    return StateVector._wrap(n - 1, np.array(kept))
+    zero, post = measure_register(state.amps, StateVector.basis(1, 0), rng, top=True)
+    half = len(post) // 2
+    return StateVector._wrap(state.n_qubits - 1, post[:half] if zero else post[half:])
 
 
 def transplanted_adaptive_attack(
@@ -389,19 +378,13 @@ def transplanted_adaptive_attack(
     so candidate pass rates carry no per-qubit signal.
     """
     n = bank.n
-    samples = samples_per_candidate or default_samples_per_candidate(n)
-    before = bank.verify_queries
-    rates = np.zeros((n, 4))
     current = state
-    for i in range(n):
-        for b in range(4):
-            hits = 0
-            for _ in range(samples):
-                probe = _insert_candidate(current, i, b)
-                ok, post = bank.verify_note_register(serial, probe, rng)
-                hits += ok
-                restored = _swap_qubits(post.amps, n + 1, i, n)
-                current = _discard_top_qubit(StateVector._wrap(post.n_qubits, restored), rng)
-            rates[i, b] = hits / samples
-    recovered = [int(np.argmax(rates[i])) for i in range(n)]
-    return AdaptiveAttackResult(recovered, rates, bank.verify_queries - before)
+
+    def submit(i: int, b: int) -> bool:
+        nonlocal current
+        ok, post = bank.verify(serial, _insert_candidate(current, i, b), rng)
+        restored = _swap_qubits(post.amps, n + 1, i, n)
+        current = _discard_top_qubit(StateVector._wrap(n + 1, restored), rng)
+        return ok
+
+    return _swap_out(bank, samples_per_candidate, submit)

@@ -1,12 +1,14 @@
 """Every name a module of src/hsmoney or tests imports is used in that module,
-and starting the program imports no scipy.
+every function and class src/hsmoney defines is referenced somewhere, and
+starting the program imports no scipy.
 
-A stdlib `ast` check, so it runs without a linter installed. Names inside
+Stdlib `ast` checks, so they run without a linter installed. Names inside
 string constants count as used, which covers quoted annotations.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hsmoney"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -51,6 +54,43 @@ def test_the_check_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(defining: dict, referencing: list) -> list:
+    """Functions and classes of the `defining` sources ({label: source}) whose
+    name appears in none of the `referencing` sources as a name, an
+    attribute, or a part of a dotted-identifier string constant (the tracer
+    binds some methods by name with `getattr`). Dunder methods are called
+    implicitly and do not count."""
+    used = set()
+    for source in referencing:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                    used.update(node.value.split("."))
+    return sorted(
+        f"{label}: {node.name} (line {node.lineno})"
+        for label, source in defining.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used and not re.fullmatch(r"__\w+__", node.name)
+    )
+
+
+def test_the_check_finds_an_unreferenced_definition():
+    defining = {"mod": "class A:\n    def __init__(self): pass\n    def used(self): pass\n    def orphan(self): pass\n"
+                       "def bound(): pass\n"}
+    assert unreferenced_definitions(defining, ["A().used()", "getattr(mod, 'pkg.bound')"]) == ["mod: orphan (line 4)"]
+
+
+def test_every_definition_in_src_is_referenced():
+    defining = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    referencing = [path.read_text() for root in (SRC, TESTS, PERFBENCH) for path in sorted(root.rglob("*.py"))]
+    assert unreferenced_definitions(defining, referencing) == []
 
 
 def test_startup_imports_no_scipy():

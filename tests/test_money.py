@@ -272,20 +272,74 @@ def test_wrapped_money_scheme_as_mini(scheme):
     assert verify2(wrapper, note.serial, (note.state, note.state), rng)
 
 
+def _unmeasured_reject(m, verify, states, rng):
+    # rejects `states` as given, with no draw and no oracle query
+    queries = m.bundle.subspace_queries
+    draws = rng.bit_generator.state
+    ok, post = verify(states)
+    assert ok is False and post is states
+    assert m.bundle.subspace_queries == queries
+    assert rng.bit_generator.state == draws
+
+
+def _wrapped(m, rng, extra_reject=None):
+    mini = m if extra_reject is None else ArtificiallyNoisyScheme(m, extra_reject=extra_reject)
+    wrapper = WrappedAsMini(ComposedScheme(mini, LamportMerkleSigner(tree_height=2)))
+    return wrapper, wrapper.bank(rng)
+
+
 def test_wrapped_verify_post_leaves_a_note_with_a_bad_signature_unmeasured(scheme):
+    # such a note has no target, so the double verifier rejects it unmeasured too
     m, rng = scheme
-    wrapper = WrappedAsMini(ComposedScheme(m, LamportMerkleSigner(tree_height=2)))
-    note = wrapper.bank(rng)
+    wrapper, note = _wrapped(m, rng)
     pk, inner, sig = WrappedAsMini._unpack(note.serial)
     wrong = WrappedAsMini._pack([pk, inner, sig[:-1] + bytes([sig[-1] ^ 1])])  # well-formed, wrong
     malformed = WrappedAsMini._pack([pk, inner, sig[:-1]])
+    assert verify2(wrapper, note.serial, (note.state, note.state), rng)
     for serial in (wrong, malformed):
-        queries = m.bundle.subspace_queries
-        draws = rng.bit_generator.state
-        ok, post = wrapper.verify_post(serial, note.state, rng)
-        assert not ok and post is note.state
-        assert m.bundle.subspace_queries == queries
-        assert rng.bit_generator.state == draws
+        _unmeasured_reject(m, lambda s: wrapper.verify_post(serial, s, rng), note.state, rng)
+        for states in ((note.state, note.state), note.state.tensor(note.state)):
+            _unmeasured_reject(m, lambda s: verify2_post(wrapper, serial, s, rng), states, rng)
+        assert wrapper.target_state(serial) is None
+
+
+def test_verify2_rejects_an_unissued_serial_unmeasured(scheme):
+    m, rng = scheme
+    note = m.bank(rng)
+    unissued = bytes(len(note.serial))
+    assert m.bundle.lookup(unissued) is None
+    for scheme_ in (m, ArtificiallyNoisyScheme(m, extra_reject=0.2)):
+        for states in ((note.state, note.state), note.state.tensor(note.state)):
+            for keep_post in (True, False):
+                _unmeasured_reject(m, lambda s: verify2_post(scheme_, unissued, s, rng, keep_post), states, rng)
+            assert not verify2(scheme_, unissued, states, rng)
+
+
+def test_verify2_on_a_wrapped_noisy_scheme_tosses_its_coins(scheme):
+    m, rng = scheme
+    wrapper, note = _wrapped(m, rng, extra_reject=0.5)
+    assert wrapper.reject_rates == (0.5,)
+    _, inner, _ = WrappedAsMini._unpack(note.serial)
+    pair = (note.state, note.state)
+    for seed in range(20):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert verify2(wrapper, note.serial, pair, rng_a) == verify2(wrapper.scheme.mini, inner, pair, rng_b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    # an honest pair passes both coins: (1 - p)^2
+    trials = 1000
+    share = sum(verify2(wrapper, note.serial, pair, rng) for _ in range(trials)) / trials
+    assert abs(share - 0.25) < 4 * math.sqrt(0.25 * 0.75 / trials)
+
+
+def test_a_malformed_wrapped_serial_is_rejected_not_raised(scheme):
+    m, rng = scheme
+    wrapper, note = _wrapped(m, rng)
+    for serial in (b"", bytes(6), note.serial + bytes(4), note.serial[:-1]):
+        assert not wrapper.verify(serial, note.state, rng)
+        _unmeasured_reject(m, lambda s: wrapper.verify_post(serial, s, rng), note.state, rng)
+        _unmeasured_reject(m, lambda s: verify2_post(wrapper, serial, s, rng), (note.state, note.state), rng)
+        assert wrapper.target_state(serial) is None
+        assert WrappedAsMini._unpack(serial) is None
 
 
 def test_noisy_wrapper_completeness_rate(scheme):

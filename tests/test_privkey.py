@@ -203,6 +203,22 @@ def test_keyed_bank_determinism_and_completeness():
         assert ok
 
 
+def test_keyed_verify_measures_the_low_register_of_a_larger_state():
+    rng = np.random.default_rng(123)
+    bank = KeyedSubspaceBank(6, b"register")
+    serial, state = bank.mint(rng)
+    ancilla = StateVector(2, np.array([0.6, 0.0, 0.0, 0.8j]))
+    ok, post = bank.verify(serial, state.tensor(ancilla), rng)
+    assert ok and post.n_qubits == 8
+    assert post.overlap(state.tensor(ancilla)) == pytest.approx(1.0, abs=1e-12)
+    # a junk low register is rejected and the top qubits are left alone
+    junk = StateVector.basis(6, next(x for x in range(1 << 6) if not bank.subspace_for(serial).contains(x)))
+    ok, post = bank.verify(serial, junk.tensor(ancilla), rng)
+    assert not ok
+    assert post.overlap(junk.tensor(ancilla)) == pytest.approx(1.0, abs=1e-12)
+    assert bank.verify_queries == 2
+
+
 def test_keyed_neighbor_quarter():
     rng = np.random.default_rng(119)
     bank = KeyedSubspaceBank(8, b"k2")

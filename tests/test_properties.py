@@ -118,6 +118,14 @@ def test_mobius_matches_its_definition(n, m, seed):
 
 
 @small
+@given(st.integers(0, 8), st.integers(1, 6), seeds)
+def test_weight_is_the_zero_count_table(n, m, seed):
+    coeffs = np.random.default_rng(seed).integers(0, 2, size=(m, 1 << n), dtype=np.uint8)
+    system = PolySystem(n, n, 0.0, coeffs)
+    assert [system.weight(v) for v in range(1 << n)] == system.zero_count_table().tolist()
+
+
+@small
 @given(invertible_maps())
 def test_linmap_identities(m):
     ident = LinMap.identity(m.n)
