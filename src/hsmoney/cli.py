@@ -92,10 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--note", required=True, help="file prefix written by mint-explicit")
     ver_p.add_argument("--seed", type=int, default=0)
 
+    # defaults and bounds: the catalog's attack-d1 entry
     d1_p = sub.add_parser("attack-d1", help="recover the subspace from degree-1 serials")
-    d1_p.add_argument("--n", type=int, default=12)
-    d1_p.add_argument("--eps", type=float, default=0.1)
-    d1_p.add_argument("--beta", type=float, default=6.0)
+    d1_p.add_argument("--n", type=int)
+    d1_p.add_argument("--eps", type=float)
+    d1_p.add_argument("--beta", type=float)
     d1_p.add_argument("--seed", type=int, default=0)
 
     wiesner = sub.add_parser("wiesner", help="four-state private-key scheme")
@@ -194,11 +195,12 @@ def _cmd_verify_explicit(args) -> int:
 
 
 def _cmd_attack_d1(args) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    a = f2lin.random_subspace(args.n, args.n // 2, rng)
-    m = polyhide.system_rows(args.beta, args.n)
-    primal = polyhide.sample_noisy_system(a, 1, m, args.eps, rng)
-    dual = polyhide.sample_noisy_system(a.dual(), 1, m, args.eps, rng)
+    cfg = configure(ExperimentConfig("attack-d1", n=args.n, eps=args.eps, beta=args.beta, seed=args.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    a = f2lin.random_subspace(cfg.n, cfg.n // 2, rng)
+    m = polyhide.system_rows(cfg.beta, cfg.n)
+    primal = polyhide.sample_noisy_system(a, 1, m, cfg.eps, rng)
+    dual = polyhide.sample_noisy_system(a.dual(), 1, m, cfg.eps, rng)
     try:
         recovered = polyhide.degree1_attack(primal, dual)
     except polyhide.DegreeOneAttackError as exc:
@@ -248,6 +250,8 @@ def _cmd_bundle(args) -> int:
     if args.subcommand == "export":
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         bundle = hsmini.OracleBundle(args.n, rng)
+        if not 0 <= args.touch <= 1 << args.n:
+            raise ValueError(f"touch must lie in [0, 2^n] = [0, {1 << args.n}] at n={args.n}, got {args.touch}")
         for r in range(args.touch):
             bundle.generator(r)
         with open(args.out, "w") as fh:

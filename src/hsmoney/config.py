@@ -30,12 +30,8 @@ def qubit_cap() -> int:
 # them one at a time; the largest catalog and golden value is 16.
 WIESNER_QUBIT_CAP = 64
 
-# Numerical tolerance for unit-norm / Hermiticity / operator-identity checks.
+# Numerical tolerance for the unit-norm and amplitude checks of states.
 ATOL = 1e-9
-
-# Mixed-state (Uhlmann) fidelity uses dense eigendecompositions; only small
-# utility computations need it.
-MIXED_FIDELITY_DIM_CAP = 256
 
 # Monotone fixed-point search: expected goal fidelity after T rounds is
 # >= 1 - exp(-FIXED_POINT_RATE * T * eps^2). Calibrated by sweep

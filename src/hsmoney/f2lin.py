@@ -252,9 +252,6 @@ class LinMap:
         mask = (1 << n) - 1
         return LinMap(n, tuple((row >> n) & mask for row in aug))
 
-    def inverse_transpose(self) -> "LinMap":
-        return self.inverse().transpose()
-
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other: (self.compose(other)).apply(x) = self(other(x))."""
         if self.n != other.n:

@@ -372,12 +372,19 @@ class WrappedAsMini(MiniScheme):
             return None
         return self.scheme.mini.target_state(parts[1])
 
-    def verify_post(self, serial, state, rng):
+    def _note(self, serial: bytes, state: StateVector) -> Optional[Tuple[bytes, MoneyNote]]:
+        """(pk, the inner note), or None for a malformed serial."""
         parts = self._unpack(serial)
-        if parts is None:
-            return False, state
-        pk, inner_serial, sig = parts
-        return self.scheme.verify_post(pk, MoneyNote(inner_serial, sig, state), rng)
+        return None if parts is None else (parts[0], MoneyNote(parts[1], parts[2], state))
+
+    def verify_post(self, serial, state, rng):
+        note = self._note(serial, state)
+        return (False, state) if note is None else self.scheme.verify_post(*note, rng)
+
+    def verify(self, serial, state, rng):
+        # the inner scheme's boolean verifier, which builds no post state
+        note = self._note(serial, state)
+        return note is not None and self.scheme.verify(*note, rng)
 
 
 def _count_accepts(probs: List[float], rates: Tuple[float, ...], rng: np.random.Generator) -> int:

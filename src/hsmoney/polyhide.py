@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config
 from .advlab import amplify_counterfeiter_state
-from .f2lin import LinMap, Subspace, complete_basis, point_tables, random_subspace, rref
+from .f2lin import Subspace, complete_basis, point_tables, random_subspace, rref
 from .qsim import (
     Projector,
     StateVector,
@@ -146,20 +146,6 @@ class MultilinearPoly:
 
     def truth_table(self) -> np.ndarray:
         return xor_mobius_inplace(self.coeff_row())
-
-    def degree(self) -> int:
-        return max((bin(m).count("1") for m in self.monomials), default=0)
-
-    def change_basis(self, L: LinMap) -> "MultilinearPoly":
-        """q with q(v) = p(Lv); degree is preserved for invertible L."""
-        if L.n != self.n_vars:
-            raise ValueError("map dimension mismatch")
-        if not L.is_invertible():
-            raise ValueError("matrix is singular")
-        truth = self.truth_table()
-        perm = L.permutation_table()
-        coeffs = xor_mobius_inplace(truth[perm])
-        return MultilinearPoly.from_masks(self.n_vars, self.degree_bound, np.flatnonzero(coeffs))
 
 
 def _frame_coeff_batch(

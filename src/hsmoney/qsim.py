@@ -13,8 +13,7 @@ an existing state (`_wrap`) keep its count and skip the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -211,21 +210,13 @@ class PhaseOracle(CountedOracle):
     def from_subspace(cls, a: Subspace, label: str = "") -> "PhaseOracle":
         return cls(a.n, subspace_mask(a), label or f"U_dim{a.dim}")
 
-    def apply(self, s: StateVector, control: Optional[int] = None) -> StateVector:
-        """Phase-flip accepted basis states; one query per call, controlled or not."""
+    def apply(self, s: StateVector) -> StateVector:
+        """Phase-flip accepted basis states; one query per call."""
         self.charge()
+        if s.n_qubits != self.n_qubits:
+            raise ValueError("state and oracle sizes differ")
         amps = s.amps.copy()
-        if control is None:
-            if s.n_qubits != self.n_qubits:
-                raise ValueError("state and oracle sizes differ")
-            amps[self.mask] = -amps[self.mask]
-        else:
-            if not self.n_qubits <= control < s.n_qubits:
-                raise ValueError("control qubit must lie above the oracle's register")
-            idx = np.arange(1 << s.n_qubits)
-            low = idx & ((1 << self.n_qubits) - 1)
-            hit = self.mask[low] & (((idx >> control) & 1) == 1)
-            amps[hit] = -amps[hit]
+        amps[self.mask] = -amps[self.mask]
         return StateVector._wrap(s.n_qubits, amps)
 
 
@@ -381,85 +372,6 @@ def postselect_projector(p: Projector, s: StateVector, outcome: bool) -> Tuple[S
     if bnorm < 1e-12:
         raise ValueError("zero-probability branch requested deterministically")
     return StateVector._wrap(s.n_qubits, branch / bnorm), prob if outcome else 1.0 - prob
-
-
-@dataclass
-class DensityOp:
-    """Hermitian PSD trace-1 operator on a small register."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density operator must be square")
-        if np.abs(m - m.conj().T).max() > 1e-9:
-            raise ValueError("density operator is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > 1e-9:
-            raise ValueError("density operator trace deviates from 1")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -1e-9:
-            raise ValueError("density operator has a negative eigenvalue beyond tolerance")
-        self.matrix = m
-
-    @classmethod
-    def mixture(cls, pairs) -> "DensityOp":
-        dim = len(pairs[0][1].amps)
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        for w, s in pairs:
-            m += w * np.outer(s.amps, s.amps.conj())
-        return cls(m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-StateLike = Union[StateVector, DensityOp]
-
-
-def _as_density(x: StateLike) -> np.ndarray:
-    if isinstance(x, StateVector):
-        return np.outer(x.amps, x.amps.conj())
-    return x.matrix
-
-
-def fidelity(rho: StateLike, sigma: StateLike) -> float:
-    """Uhlmann fidelity max |<psi|phi>| over purifications; in [0, 1]."""
-    if isinstance(rho, StateVector) and isinstance(sigma, StateVector):
-        return rho.overlap(sigma)
-    if isinstance(rho, StateVector):
-        rho, sigma = sigma, rho
-    if isinstance(sigma, StateVector):
-        m = rho.matrix if isinstance(rho, DensityOp) else rho
-        if m.shape[0] != len(sigma.amps):
-            raise ValueError("dimension mismatch")
-        val = np.vdot(sigma.amps, m @ sigma.amps).real
-        return float(np.sqrt(min(max(val, 0.0), 1.0)))
-    a = _as_density(rho)
-    b = _as_density(sigma)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    if a.shape[0] > config.MIXED_FIDELITY_DIM_CAP:
-        raise ValueError("mixed-state fidelity restricted to small dimensions")
-    evals, vecs = np.linalg.eigh(a)
-    if evals.min() < -1e-9:
-        raise ValueError("input is not PSD within tolerance")
-    sq = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    inner = sq @ b @ sq
-    ev = np.linalg.eigvalsh(inner)
-    f = float(np.sqrt(np.clip(ev, 0.0, None)).sum())
-    return min(max(f, 0.0), 1.0)
-
-
-def trace_distance(rho: StateLike, sigma: StateLike) -> float:
-    """Half the sum of |eigenvalues| of rho - sigma."""
-    a = _as_density(rho)
-    b = _as_density(sigma)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    ev = np.linalg.eigvalsh(a - b)
-    return float(0.5 * np.abs(ev).sum())
 
 
 def fidelity_to_goal(s: StateVector, goal: Projector) -> float:

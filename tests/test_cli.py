@@ -222,7 +222,11 @@ def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
         ["keyed", "verify", "--n", "8", "--trials", "-1"],
         ["bundle", "export", "--n", "3", "--out", "unused.json"],
         ["bundle", "export", "--n", "22", "--out", "unused.json"],
+        # --touch materializes that many of the 2^n entries
+        ["bundle", "export", "--touch", "-1", "--out", "unused.json"],
+        ["bundle", "export", "--n", "4", "--touch", "17", "--out", "unused.json"],
         ["attack-d1", "--n", "0"],
+        ["attack-d1", "--n", "1"],
         ["attack-d1", "--n", "22"],  # beyond the qubit cap, below the GF(2) cap
         ["mint-explicit", "--n", "22", "--out", "unused"],
         # beta n rows of 2^n coefficient bytes: past the table cap of 2^24

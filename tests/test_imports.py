@@ -1,6 +1,6 @@
 """Every name a module of src/hsmoney or tests imports is used in that module,
-every function and class src/hsmoney defines is referenced somewhere, and
-starting the program imports no scipy.
+every function, class and module-level constant or alias src/hsmoney defines
+is referenced somewhere, and starting the program imports no scipy.
 
 Stdlib `ast` checks, so they run without a linter installed. Names inside
 string constants count as used, which covers quoted annotations.
@@ -56,16 +56,36 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _definitions(tree: ast.Module):
+    """(name, line) of every function and class, and of every name a
+    module-level assignment binds (constants and aliases)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, name.lineno
+
+
 def unreferenced_definitions(defining: dict, referencing: list) -> list:
-    """Functions and classes of the `defining` sources ({label: source}) whose
-    name appears in none of the `referencing` sources as a name, an
-    attribute, or a part of a dotted-identifier string constant (the tracer
-    binds some methods by name with `getattr`). Dunder methods are called
+    """Definitions of the `defining` sources ({label: source}; see
+    `_definitions`) whose name appears in none of the `referencing` sources
+    as a name that is read, an attribute, or a part of a dotted-identifier
+    string constant (the tracer binds some methods by name with `getattr`).
+    Binding a name is not a reference to it. Dunder names are used
     implicitly and do not count."""
     used = set()
     for source in referencing:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -73,18 +93,20 @@ def unreferenced_definitions(defining: dict, referencing: list) -> list:
                 if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
                     used.update(node.value.split("."))
     return sorted(
-        f"{label}: {node.name} (line {node.lineno})"
+        f"{label}: {name} (line {line})"
         for label, source in defining.items()
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in used and not re.fullmatch(r"__\w+__", node.name)
+        for name, line in _definitions(ast.parse(source))
+        if name not in used and not re.fullmatch(r"__\w+__", name)
     )
 
 
 def test_the_check_finds_an_unreferenced_definition():
     defining = {"mod": "class A:\n    def __init__(self): pass\n    def used(self): pass\n    def orphan(self): pass\n"
-                       "def bound(): pass\n"}
-    assert unreferenced_definitions(defining, ["A().used()", "getattr(mod, 'pkg.bound')"]) == ["mod: orphan (line 4)"]
+                       "def bound(): pass\n"
+                       "CAP = 1\nALIAS, KEPT = A, 2\n__all__ = ['A']\n"}
+    referencing = ["A().used()", "getattr(mod, 'pkg.bound')", "CAP = 3\nprint(mod.KEPT)"]
+    assert unreferenced_definitions(defining, referencing) == [
+        "mod: ALIAS (line 7)", "mod: CAP (line 6)", "mod: orphan (line 4)"]
 
 
 def test_every_definition_in_src_is_referenced():

@@ -272,6 +272,24 @@ def test_wrapped_money_scheme_as_mini(scheme):
     assert verify2(wrapper, note.serial, (note.state, note.state), rng)
 
 
+def test_wrapped_verify_runs_the_inner_boolean_verifier(scheme, monkeypatch):
+    # one transform per verify, as ComposedScheme.verify makes: the circuit's
+    # transform back builds a post state that nothing reads
+    m, rng = scheme
+    wrapper, note = _wrapped(m, rng)
+    pk, inner, sig = WrappedAsMini._unpack(note.serial)
+    calls = []
+    wht = qsim.walsh_hadamard_raw
+    monkeypatch.setattr(qsim, "walsh_hadamard_raw", lambda a: calls.append(1) or wht(a))
+    for state in (note.state, _orthogonal_junk(m, MoneyNote(inner, sig, note.state))):
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        calls.clear()
+        ok = wrapper.verify(note.serial, state, rng_a)
+        assert len(calls) == 1
+        assert ok == wrapper.scheme.verify(pk, MoneyNote(inner, sig, state), rng_b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 def _unmeasured_reject(m, verify, states, rng):
     # rejects `states` as given, with no draw and no oracle query
     queries = m.bundle.subspace_queries

@@ -139,48 +139,55 @@ def test_noisy_rows_match_the_inverse_gather_reference(n, dim, d, m, eps):
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def _moved(p: MultilinearPoly, m: LinMap) -> np.ndarray:
+    """p's coefficient row moved through M's point table, by the one-table
+    gather; the own-table scatter of a two-row batch must agree."""
+    table = m.permutation_table()
+    q = polyhide._move_points(p.coeff_row()[None], table[None])[0]
+    pair = polyhide._move_points(np.stack([p.coeff_row()] * 2), np.stack([table] * 2))
+    assert np.array_equal(pair, [q, q])
+    return q
+
+
 def test_change_basis_identity_and_pointwise():
     rng = np.random.default_rng(82)
     n, d = 8, 3
+    pc = polyhide._popcounts(n)
     for _ in range(30):
         a = f2lin.random_subspace(n, 4, rng)
         p = sample_vanishing(a, d, rng)
-        ident = LinMap.identity(n)
-        assert p.change_basis(ident) == p
-        L = f2lin.random_invertible(n, rng)
-        q = p.change_basis(L)
-        table_p = p.truth_table()
-        table_q = q.truth_table()
-        for v in range(1 << n):
-            assert table_q[v] == table_p[L.apply(v)]
-        assert q.degree() <= d
+        assert np.array_equal(_moved(p, LinMap.identity(n)), p.coeff_row())
+        m = f2lin.random_invertible(n, rng)
+        q = _moved(p, m)
+        # q(M u) = p(u) at every point u
+        assert np.array_equal(xor_mobius_inplace(q.copy())[m.permutation_table()], p.truth_table())
+        assert pc[np.flatnonzero(q)].max(initial=0) <= d
 
 
 def test_change_basis_maps_ideals():
-    # p vanishing on A implies p(Lv) vanishes on L^{-1} A
+    # p vanishing on A implies q, with q(M u) = p(u), vanishes on M A
     rng = np.random.default_rng(83)
     n, d = 8, 2
     a = f2lin.random_subspace(n, 4, rng)
-    L = f2lin.random_invertible(n, rng)
-    pre = f2lin.image(L.inverse(), a)
+    m = f2lin.random_invertible(n, rng)
+    moved = f2lin.image(m, a)
     for _ in range(20):
         p = sample_vanishing(a, d, rng)
-        q = p.change_basis(L)
-        tq = q.truth_table()
-        assert not tq[pre.member_array()].any()
+        tq = xor_mobius_inplace(_moved(p, m))
+        assert not tq[moved.member_array()].any()
 
 
 def test_change_basis_roundtrip_bijection():
     rng = np.random.default_rng(84)
     n, d = 6, 3
-    L = f2lin.random_invertible(n, rng)
+    m = f2lin.random_invertible(n, rng)
     for _ in range(20):
         masks = np.flatnonzero(rng.random(1 << n) < 0.05)
         pc = polyhide._popcounts(n)
-        masks = [int(m) for m in masks if pc[m] <= d]
+        masks = [int(v) for v in masks if pc[v] <= d]
         p = MultilinearPoly.from_masks(n, d, masks)
-        q = p.change_basis(L).change_basis(L.inverse())
-        assert q == p
+        q = MultilinearPoly.from_masks(n, d, np.flatnonzero(_moved(p, m)))
+        assert np.array_equal(_moved(q, m.inverse()), p.coeff_row())
 
 
 def test_sample_vanishing_small_enumeration():
