@@ -392,22 +392,6 @@ def amplify_counterfeiter(
     return AmplifyResult(state=state, queries=queries, rounds=rounds, converged=converged)
 
 
-def amplify_counterfeiter_state(
-    doubled: StateVector,
-    target: StateVector,
-    eps: float,
-    delta: float,
-    rng: np.random.Generator,
-) -> Tuple[StateVector, int]:
-    """State-level fixed-point amplification toward target x target, in at
-    most 200 rounds."""
-    goal = Projector.onto_state(target.tensor(target))
-    eps_fid = math.sqrt(max(eps, 1e-6))
-    budget = min(200, max(1, math.ceil(fixed_point_rounds(eps_fid ** 2, delta))))
-    s, rounds, _ = measure_restore(goal, doubled, budget, rng)
-    return s, rounds
-
-
 def amplification_budget(eps: float, delta: float) -> float:
     """Reference query budget: K log(1/delta) / (sqrt(eps) (sqrt(eps) + delta^2))."""
     return config.AMPLIFY_QUERY_K * math.log(1 / delta) / (
@@ -419,57 +403,31 @@ def amplification_budget(eps: float, delta: float) -> float:
 # cloning experiments
 
 
-@dataclass
-class CloneRunResult:
-    queries: int
-    fidelity: float
-
-
 def clone_by_search(
-    target_oracle: ReflectAboutState,
-    n: int,
-    rng: np.random.Generator,
-    overlap_guess: Optional[float] = None,
+    target: StateVector, rng: np.random.Generator, overlap_guess: Optional[float] = None
 ) -> Tuple[StateVector, int]:
-    """Prepare the oracle's target by amplitude amplification from the
-    uniform superposition, with up to 64 fresh starts.
+    """Prepare `target` by amplitude amplification from the uniform
+    superposition, with up to 64 fresh starts, and return the state and the
+    queries made to a reflection oracle about the target.
 
     The diffusion about the uniform state is query-free (the problem's init
     counter is never read); each iteration charges one target-oracle call,
     and each final check charges one more.
     """
+    n = target.n_qubits
+    oracle = ReflectAboutState(target, "U_target")
     uniform = StateVector.uniform(n)
     if overlap_guess is None:
         overlap_guess = 2.0 ** (-n / 2)
     theta = math.asin(min(1.0, overlap_guess))
     t_star = max(0, round(math.pi / (4 * theta) - 0.5))
-    goal = Projector.onto_state(target_oracle.target, charge_to=target_oracle)
+    goal = Projector.onto_state(target, charge_to=oracle)
     problem = SearchProblem(uniform, goal)
-    before = target_oracle.query_count
     for _ in range(64):
         ok, s, _ = measure_projector(goal, amplitude_amplify(problem, t_star), rng)
         if ok:
             break
-    return s, target_oracle.query_count - before
-
-
-def clone_run(
-    target: StateVector, rng: np.random.Generator, overlap_guess: Optional[float] = None
-) -> CloneRunResult:
-    oracle = ReflectAboutState(target, "U_target")
-    state, queries = clone_by_search(oracle, target.n_qubits, rng, overlap_guess)
-    return CloneRunResult(queries=queries, fidelity=state.overlap(target))
-
-
-@dataclass
-class KCopyReport:
-    n: int
-    k: int
-    queries: List[int]
-
-    @property
-    def median_queries(self) -> float:
-        return float(np.median(self.queries))
+    return s, oracle.query_count
 
 
 def kcopy_run(n: int, k: int, rng: np.random.Generator) -> int:
@@ -496,6 +454,3 @@ def kcopy_run(n: int, k: int, rng: np.random.Generator) -> int:
             return queries
     return queries
 
-
-def kcopy_experiment(n: int, k: int, rng: np.random.Generator, trials: int = 40) -> KCopyReport:
-    return KCopyReport(n=n, k=k, queries=[kcopy_run(n, k, rng) for _ in range(trials)])

@@ -13,12 +13,12 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import List, Optional
+from typing import List, Optional, get_args, get_type_hints
 
 import numpy as np
 
 from . import f2lin, hsmini, polyhide, privkey
-from .experiments import CATALOG, ExperimentConfig, configure, run_experiment
+from .experiments import CATALOG, OPTIONS, ExperimentConfig, configure, run_experiment
 from .qsim import StateVector
 
 EXIT_OK = 0
@@ -51,17 +51,13 @@ def _print_summary(summary: dict, ok: bool) -> None:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    # one flag per catalog option, typed from its ExperimentConfig field;
+    # the catalog's Option bounds alone say which values it takes
+    hints = get_type_hints(ExperimentConfig)
+    for name in OPTIONS:
+        (kind,) = (t for t in get_args(hints[name]) if t is not type(None))
+        p.add_argument(f"--{name}", type=kind)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", default=None, choices=["hsmini", "explicit", "keyed", "wiesner"])
-    p.add_argument("--target", default=None, choices=["haar", "subspace"])
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=int, default=0,
                    help="trial worker processes; 0 = available parallelism")
@@ -80,11 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("experiment", choices=sorted(CATALOG))
     _add_experiment_flags(run_p)
 
+    # defaults and bounds: the catalog's explicit-mint-verify entry
     mint_p = sub.add_parser("mint-explicit", help="mint a polynomial-serial banknote")
-    mint_p.add_argument("--n", type=int, default=12)
-    mint_p.add_argument("--d", type=int, default=4)
-    mint_p.add_argument("--eps", type=float, default=0.25)
-    mint_p.add_argument("--beta", type=float, default=12.0)
+    mint_p.add_argument("--n", type=int)
+    mint_p.add_argument("--d", type=int)
+    mint_p.add_argument("--eps", type=float)
+    mint_p.add_argument("--beta", type=float)
     mint_p.add_argument("--seed", type=int, default=0)
     mint_p.add_argument("--out", required=True, help="output file prefix")
 
@@ -161,22 +158,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_mint_explicit(args) -> int:
-    if args.d < 2:
-        print(
-            "error: degree 1 serials are insecure (linear systems surrender the "
-            "subspace); choose d >= 2",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    note = polyhide.bank_explicit(args.n, args.d, args.eps, args.beta, rng)
+    cfg = configure(ExperimentConfig("explicit-mint-verify", n=args.n, d=args.d, eps=args.eps, beta=args.beta,
+                                     seed=args.seed))
+    if cfg.d < 2:
+        raise ValueError("degree 1 serials are insecure (linear systems surrender the subspace); choose d >= 2")
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    note, _ = polyhide.bank_explicit_with_secret(cfg.n, cfg.d, cfg.eps, cfg.beta, rng)
     with open(args.out + ".primal", "w") as fh:
         fh.write(note.primal_system.serialize())
     with open(args.out + ".dual", "w") as fh:
         fh.write(note.dual_system.serialize())
     with open(args.out + ".state", "w") as fh:
         fh.write(note.state.dump())
-    print(f"minted n={args.n} d={args.d} note into {args.out}.{{primal,dual,state}}")
+    print(f"minted n={cfg.n} d={cfg.d} note into {args.out}.{{primal,dual,state}}")
     return EXIT_OK
 
 
@@ -212,6 +206,14 @@ def _cmd_attack_d1(args) -> int:
     return EXIT_OK if match else EXIT_ASSERTION
 
 
+def _check_trials(trials: int) -> None:
+    """The catalog's trials bound, for the verify commands that run outside the catalog."""
+    for check in CATALOG["verify-roundtrip"].options["trials"].checks:
+        refusal = check(ExperimentConfig("verify-roundtrip", trials=trials))
+        if refusal:
+            raise ValueError(refusal)
+
+
 def _cmd_wiesner(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     if args.subcommand == "mint":
@@ -219,8 +221,7 @@ def _cmd_wiesner(args) -> int:
         print(json.dumps({"serial": note.serial.hex(), "qubits": note.qubits}))
         return EXIT_OK
     if args.subcommand == "verify":
-        if args.trials < 1:
-            raise ValueError("trials must be positive")
+        _check_trials(args.trials)
         bank, note = privkey.wiesner_bank(args.n, rng)
         accepts = sum(bank.verify(note.serial, note.qubits, rng)[0] for _ in range(args.trials))
         print(f"accepted {accepts}/{args.trials}")
@@ -230,14 +231,14 @@ def _cmd_wiesner(args) -> int:
 
 
 def _cmd_keyed(args) -> int:
+    if args.subcommand == "verify":
+        _check_trials(args.trials)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     bank = privkey.KeyedSubspaceBank(args.n, rng.bytes(16))
     serial, state = bank.mint(rng)
     if args.subcommand == "mint":
         print(json.dumps({"serial": serial.hex(), "state": state.dump().splitlines()[0]}))
         return EXIT_OK
-    if args.trials < 1:
-        raise ValueError("trials must be positive")
     accepts = 0
     for _ in range(args.trials):
         ok, state = bank.verify(serial, state, rng)

@@ -98,7 +98,7 @@ def _mint_and_verify_once(cfg: ExperimentConfig, rng: np.random.Generator) -> bo
         note = scheme.bank(rng)
         return scheme.verify(note.serial, note.state, rng)
     if cfg.scheme == "explicit":
-        note = polyhide.bank_explicit(cfg.n, cfg.d, cfg.eps, cfg.beta, rng)
+        note, _ = polyhide.bank_explicit_with_secret(cfg.n, cfg.d, cfg.eps, cfg.beta, rng)
         return polyhide.verify_explicit(note, rng)
     if cfg.scheme == "keyed":
         bank = privkey.KeyedSubspaceBank(cfg.n, rng.bytes(16))
@@ -328,8 +328,8 @@ def trial_clone_search(cfg: ExperimentConfig, index: int, rng) -> dict:
     else:
         target = subspace_state(f2lin.random_subspace(cfg.n, cfg.n // 2, rng))
         guess = 2.0 ** (-cfg.n / 4)
-    res = advlab.clone_run(target, rng, overlap_guess=guess)
-    return {"trial": index, "queries": res.queries, "fidelity": float(res.fidelity)}
+    state, queries = advlab.clone_by_search(target, rng, overlap_guess=guess)
+    return {"trial": index, "queries": queries, "fidelity": float(state.overlap(target))}
 
 
 def run_clone_search(cfg: ExperimentConfig) -> ExperimentOutcome:
@@ -357,14 +357,14 @@ def run_kcopy_scaling(cfg: ExperimentConfig) -> ExperimentOutcome:
     records = []
     medians = []
     for k in ks:
-        rep = advlab.kcopy_experiment(cfg.n, k, rng, trials=cfg.trials)
-        medians.append(rep.median_queries)
+        queries = [advlab.kcopy_run(cfg.n, k, rng) for _ in range(cfg.trials)]
+        medians.append(float(np.median(queries)))
         records.append(
             {
                 "k": k,
-                "median_queries": rep.median_queries,
+                "median_queries": medians[-1],
                 "reference": (math.pi / 4) * 2 ** (cfg.n / 2) / math.sqrt(k + 1),
-                "queries": rep.queries,
+                "queries": queries,
             }
         )
     ok = all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import config
-from .f2lin import LinMap, Subspace, random_invertible, random_subspace, image
+from .f2lin import LinMap, Subspace, image, random_invertible, random_subspace, str_to_vec, vec_to_str
 from .money import Banknote, MiniScheme
 from .qsim import (
     PhaseOracle,
@@ -151,7 +151,7 @@ class OracleBundle:
             "entries": {
                 str(r): {
                     "serial": e.serial.hex(),
-                    "basis": [format(row, f"0{self.n}b")[::-1] for row in e.subspace.basis],
+                    "basis": [vec_to_str(row, self.n) for row in e.subspace.basis],
                 }
                 for r, e in self._by_r.items()
             },
@@ -185,7 +185,7 @@ class OracleBundle:
                 isinstance(row, str) and len(row) == n and set(row) <= {"0", "1"} for row in rows
             ):
                 raise ValueError(f"bundle entry {r}: basis rows must be {n} characters 0 or 1")
-            sub = Subspace.from_rows([int(row[::-1], 2) for row in rows], n)
+            sub = Subspace.from_rows([str_to_vec(row) for row in rows], n)
             if sub.dim != n // 2:
                 raise ValueError(f"bundle entry {r}: basis spans dimension {sub.dim}, not {n // 2}")
             bundle._by_r[r] = bundle._by_serial[serial] = BundleEntry(r, serial, sub)

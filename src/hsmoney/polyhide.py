@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import config
-from .advlab import amplify_counterfeiter_state
 from .f2lin import Subspace, complete_basis, point_tables, random_subspace, rref
 from .qsim import (
     Projector,
@@ -32,6 +31,7 @@ from .qsim import (
     subspace_state,
     verify_two_basis,
 )
+from .search import fixed_point_rounds, measure_restore
 
 
 class DegreeOneAttackError(RuntimeError):
@@ -423,13 +423,6 @@ def bank_explicit_with_secret(
     return ExplicitNote(primal, dual, subspace_state(a)), a
 
 
-def bank_explicit(
-    n: int, d: int, eps: float, beta: float, rng: np.random.Generator
-) -> ExplicitNote:
-    note, _ = bank_explicit_with_secret(n, d, eps, beta, rng)
-    return note
-
-
 def _systems_well_formed(primal: PolySystem, dual: PolySystem) -> bool:
     return (
         primal.n_vars == dual.n_vars
@@ -511,8 +504,9 @@ def harvest_subspace_elements(
     counterfeiter: Callable[[ExplicitNote, np.random.Generator], StateVector],
     rng: np.random.Generator,
 ) -> Tuple[List[int], int]:
-    """One reduction pass: counterfeit, amplify (claimed pass rate 1/2,
-    delta 0.05), verify twice, measure both registers in the standard basis.
+    """One reduction pass: counterfeit, amplify toward the doubled note by
+    measure/restore rounds (the fixed-point budget for claimed pass rate 1/2
+    and delta 0.05), verify twice, measure both registers in the standard basis.
     Returns measured vectors (empty when verification failed) and the number
     of amplification rounds used."""
     n = note.primal_system.n_vars
@@ -520,10 +514,10 @@ def harvest_subspace_elements(
     if z_sub is None:
         return [], 0
     target = subspace_state(z_sub)
+    goal = Projector.onto_state(target.tensor(target))
     doubled = counterfeiter(note, rng)
-    amped, rounds = amplify_counterfeiter_state(doubled, target, 0.5, 0.05, rng)
-    goal = target.tensor(target)
-    ok, post, _ = measure_projector(Projector.onto_state(goal), amped, rng)
+    amped, rounds, _ = measure_restore(goal, doubled, math.ceil(fixed_point_rounds(0.5, 0.05)), rng)
+    ok, post, _ = measure_projector(goal, amped, rng)
     if not ok:
         return [], rounds
     probs = np.abs(post.amps) ** 2

@@ -17,9 +17,9 @@ from hsmoney.advlab import (
     SubspaceNeighborRelation,
     amplification_budget,
     amplify_counterfeiter,
-    clone_run,
+    clone_by_search,
     default_probes,
-    kcopy_experiment,
+    kcopy_run,
     track_progress,
 )
 from hsmoney.qsim import StateVector, haar_random_state, subspace_state
@@ -204,27 +204,28 @@ def test_clone_search_success_fidelity():
     rng = np.random.default_rng(140)
     for _ in range(10):
         target = haar_random_state(6, rng)
-        res = clone_run(target, rng)
-        if res.fidelity > 0.5:  # success branch
-            assert res.fidelity >= 0.999
+        state, _ = clone_by_search(target, rng)
+        fidelity = state.overlap(target)
+        if fidelity > 0.5:  # success branch
+            assert fidelity >= 0.999
 
 
 def test_clone_search_trivial_target():
     # start state equal to the target: zero amplification iterations needed
     rng = np.random.default_rng(141)
     uniform = StateVector.uniform(4)
-    res = clone_run(uniform, rng, overlap_guess=1.0)
-    assert res.queries == 1  # only the final check
-    assert res.fidelity == pytest.approx(1.0, abs=1e-9)
+    state, queries = clone_by_search(uniform, rng, overlap_guess=1.0)
+    assert queries == 1  # only the final check
+    assert state.overlap(uniform) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_clone_search_medians():
     rng = np.random.default_rng(142)
-    haar_q = [clone_run(haar_random_state(8, rng), rng).queries for _ in range(101)]
+    haar_q = [clone_by_search(haar_random_state(8, rng), rng)[1] for _ in range(101)]
     ref = (math.pi / 4) * 2 ** 4
     assert ref / 2 <= statistics.median(haar_q) <= 2 * ref
     sub_q = [
-        clone_run(subspace_state(f2lin.random_subspace(8, 4, rng)), rng, overlap_guess=0.25).queries
+        clone_by_search(subspace_state(f2lin.random_subspace(8, 4, rng)), rng, overlap_guess=0.25)[1]
         for _ in range(101)
     ]
     ref = (math.pi / 4) * 2 ** 2
@@ -235,18 +236,17 @@ def test_kcopy_medians_decrease():
     rng = np.random.default_rng(143)
     medians = []
     for k in (0, 1, 2, 4):
-        rep = kcopy_experiment(6, k, rng, trials=101)
-        medians.append(rep.median_queries)
+        medians.append(statistics.median(kcopy_run(6, k, rng) for _ in range(101)))
         ref = (math.pi / 4) * 2 ** 3 / math.sqrt(k + 1)
-        assert ref / 2 <= rep.median_queries <= 2 * ref
+        assert ref / 2 <= medians[-1] <= 2 * ref
     assert all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))
 
 
 def test_kcopy_zero_matches_clone_search_scale():
     rng = np.random.default_rng(144)
-    rep = kcopy_experiment(8, 0, rng, trials=101)
+    median = statistics.median(kcopy_run(8, 0, rng) for _ in range(101))
     ref = (math.pi / 4) * 2 ** 4
-    assert ref / 2 <= rep.median_queries <= 2 * ref
+    assert ref / 2 <= median <= 2 * ref
 
 
 def test_tensor_power_inner_product():

@@ -1,13 +1,14 @@
 """CLI surface: catalog, experiment dispatch, mint/verify flows, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import re
 
 import pytest
 
-from hsmoney.cli import EXIT_OK, EXIT_USAGE, main
-from hsmoney.experiments import CATALOG, ExperimentConfig, ExperimentOutcome, run_experiment
+from hsmoney.cli import EXIT_OK, EXIT_USAGE, _build_parser, main
+from hsmoney.experiments import CATALOG, OPTIONS, ExperimentConfig, ExperimentOutcome, run_experiment
 
 
 def test_catalog_lists_all(capsys):
@@ -218,8 +219,11 @@ def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
         ["wiesner", "mint", "--n", "65"],
         ["wiesner", "verify", "--n", str(10 ** 12)],
         ["wiesner", "verify", "--trials", "0"],
+        # the catalog's cap of 2^16 trials
+        ["wiesner", "verify", "--n", "1", "--trials", "65537"],
         ["keyed", "verify", "--n", "3"],
         ["keyed", "verify", "--n", "8", "--trials", "-1"],
+        ["keyed", "verify", "--n", "2", "--trials", "65537"],
         ["bundle", "export", "--n", "3", "--out", "unused.json"],
         ["bundle", "export", "--n", "22", "--out", "unused.json"],
         # --touch materializes that many of the 2^n entries
@@ -229,6 +233,7 @@ def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
         ["attack-d1", "--n", "1"],
         ["attack-d1", "--n", "22"],  # beyond the qubit cap, below the GF(2) cap
         ["mint-explicit", "--n", "22", "--out", "unused"],
+        ["mint-explicit", "--n", "8", "--d", "30", "--out", "unused"],  # the catalog bounds d by 24
         # beta n rows of 2^n coefficient bytes: past the table cap of 2^24
         ["attack-d1", "--n", "12", "--beta", "100000"],
         ["mint-explicit", "--n", "12", "--beta", "100000", "--out", "unused"],
@@ -351,6 +356,9 @@ def test_delta_setting_endless_clean_up_is_a_usage_error_before_any_trial(monkey
         # k (trials + 2 max(200, trials // 20)) sub-note verifications past 2^20
         (["completeness-amplification", "--n", "2", "--trials", "1", "--k", "2615"], "k"),
         (["completeness-amplification", "--trials", "65536"], "trials"),
+        # the catalog's Option bounds are the only list of allowed values
+        (["verify-roundtrip", "--scheme", "bogus"], "scheme"),
+        (["clone-search", "--target", "bogus"], "target"),
     ],
 )
 def test_options_outside_their_declaration_are_usage_errors_before_any_trial(monkeypatch, capsys, argv, option):
@@ -361,6 +369,15 @@ def test_options_outside_their_declaration_are_usage_errors_before_any_trial(mon
     assert main(["run", *argv, "--workers", "1"]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and re.search(rf"\b{option}\b", err[0])
+
+
+def test_run_has_one_flag_per_catalog_option():
+    (commands,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    run_p = commands.choices["run"]
+    flags = [flag for a in run_p._actions for flag in a.option_strings if flag not in ("-h", "--help")]
+    assert sorted(flags) == sorted([f"--{name}" for name in OPTIONS] + ["--seed", "--out", "--workers"])
+    types = {a.dest: a.type for a in run_p._actions}
+    assert (types["n"], types["eps"], types["scheme"]) == (int, float, str)
 
 
 def test_wiesner_attack_past_the_statevector_cap(capsys):

@@ -1,6 +1,7 @@
 """Every name a module of src/hsmoney or tests imports is used in that module,
 every function, class and module-level constant or alias src/hsmoney defines
-is referenced somewhere, and starting the program imports no scipy.
+is referenced somewhere, the modules keep their layers, and starting the
+program imports no scipy.
 
 Stdlib `ast` checks, so they run without a linter installed. Names inside
 string constants count as used, which covers quoted annotations.
@@ -113,6 +114,34 @@ def test_every_definition_in_src_is_referenced():
     defining = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     referencing = [path.read_text() for root in (SRC, TESTS, PERFBENCH) for path in sorted(root.rglob("*.py"))]
     assert unreferenced_definitions(defining, referencing) == []
+
+
+def package_imports(source: str) -> set:
+    """The package modules a source imports relatively: `from . import a` and `from .a import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_the_check_finds_package_imports():
+    source = "from . import a, b\nfrom .c import d\nimport e\nfrom f import g\nfrom __future__ import annotations\n"
+    assert package_imports(source) == {"a", "b", "c"}
+
+
+# The schemes and the machinery under them know nothing of the adversary lab,
+# the catalog or the command line; the lab knows nothing of the last two.
+LAYERS = {
+    **{module: {"advlab", "experiments", "cli"}
+       for module in ("config", "f2lin", "qsim", "search", "money", "hsmini", "polyhide", "privkey")},
+    "advlab": {"experiments", "cli"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_modules_import_nothing_from_the_layers_above(module):
+    assert package_imports((SRC / f"{module}.py").read_text()) & LAYERS[module] == set()
 
 
 def test_startup_imports_no_scipy():

@@ -19,7 +19,6 @@ from hsmoney import advlab, config, f2lin, hsmini, search
 from hsmoney.qsim import (
     CountedOracle,
     Projector,
-    ReflectAboutState,
     fidelity_to_goal,
     haar_random_state,
     subspace_state,
@@ -166,12 +165,16 @@ def test_amplify_counterfeiter(monkeypatch, n, kind, eps, delta):
 
 @pytest.mark.parametrize("kind", sorted(COUNTERFEITERS))
 def test_amplify_counterfeiter_state(monkeypatch, kind):
+    # the soundness reduction's amplification: measure/restore rounds on a doubled
+    # counterfeit, for the fixed-point budget at claimed pass rate 0.2 and delta 0.05
     def fn(rng):
         target = haar_random_state(4, rng)
         c = COUNTERFEITERS[kind](target)
         doubled = c.apply(target)
-        s, rounds = advlab.amplify_counterfeiter_state(doubled, target, 0.2, 0.05, rng)
-        return s, {"rounds": rounds}
+        goal = Projector.onto_state(target.tensor(target))
+        budget = math.ceil(search.fixed_point_rounds(0.2, 0.05))
+        s, rounds, converged = search.measure_restore(goal, doubled, budget, rng)
+        return s, {"rounds": rounds, "converged": converged}
 
     for seed in range(4):
         _run_both(monkeypatch, 7000 + seed, fn)
@@ -184,9 +187,8 @@ def test_clone_by_search(monkeypatch, target_kind):
             target, guess = haar_random_state(6, rng), 2.0 ** -3
         else:
             target, guess = subspace_state(f2lin.random_subspace(8, 4, rng)), 2.0 ** -2
-        oracle = ReflectAboutState(target, "U_target")
-        s, queries = advlab.clone_by_search(oracle, target.n_qubits, rng, guess)
-        return s, {"queries": queries, "oracle": oracle.query_count}
+        s, queries = advlab.clone_by_search(target, rng, guess)
+        return s, {"queries": queries}
 
     for seed in range(4):
         _run_both(monkeypatch, 8000 + seed, fn)
