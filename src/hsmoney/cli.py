@@ -50,6 +50,14 @@ def _print_summary(summary: dict, ok: bool) -> None:
     print(f"  result: {'PASS' if ok else 'FAIL'}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose errors raise ValueError, so that `main`'s one error
+    boundary reports them; subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     # one flag per catalog option, typed from its ExperimentConfig field;
     # the catalog's Option bounds alone say which values it takes
@@ -64,7 +72,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hsmoney",
         description="hidden-subspace quantum money: schemes, attacks, experiments",
     )
@@ -279,15 +287,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    # the one error boundary: bad flags, bad input, unreadable or unwritable
+    # files and unknown keys end in one line on stderr and exit code 2
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    # the one error boundary: bad input, unreadable or unwritable files and
-    # unknown keys end in one line on stderr and exit code 2
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

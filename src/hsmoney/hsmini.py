@@ -5,7 +5,10 @@ serial checker H, and serial-indexed primal/dual subspace testers. G is
 materialized lazily and memoized per r; serial collisions are resampled so
 serials stay pairwise distinct. Verification runs the four-step circuit
 project / transform / project / transform, charging exactly one primal and
-one dual oracle query.
+one dual oracle query. The boolean verifier returns only the verdict and
+makes its dual query on A's span: after the primal projection the state lies
+in the span of A's members, where the transformed dual test is the rank-1
+projector onto the money state, so it runs no transform.
 
 Each bundle entry memoises its subspace's member indices: 2^(n/2) read-only
 int64 values (128 B at n=8, 2 KiB at n=16), filled by the first `bank` or
@@ -30,6 +33,7 @@ from .qsim import (
     PhaseOracle,
     Projector,
     StateVector,
+    measure_projector,
     subspace_mask,
     uniform_on,
     verify_two_basis,
@@ -210,15 +214,27 @@ def verify_circuit(
 
     Rejects invalid serials outright; otherwise charges exactly one primal
     and one dual query, and accepts a pure state with probability equal to
-    its squared overlap with the money state. `transform_back=False` skips
-    the final transform and returns None for the post state of a valid
-    serial (see `verify_two_basis`).
+    its squared overlap with the money state.
+
+    `transform_back=False` returns only the verdict, with None for the post
+    state of a valid serial, and makes the dual query on A's span: after the
+    primal projection the state lies in the span of A's members, where
+    H P_{A_perp} H acts as |A><A|, so the dual test measures the rank-1
+    projector onto the money state and needs no transform. After a primal
+    rejection the verdict is already false; the dual test still charges its
+    query and draws its uniform, as the circuit does. Unlike the circuit,
+    this path never raises on a zero-norm dual branch, since it builds no
+    dual post state.
     """
     if not bundle.check_serial(serial):
         return False, state
     primal = Projector.from_oracle(bundle.primal_oracle(serial))
-    dual = Projector.from_oracle(bundle.dual_oracle(serial))
-    return verify_two_basis(primal, dual, state, rng, transform_back)
+    if transform_back:
+        return verify_two_basis(primal, Projector.from_oracle(bundle.dual_oracle(serial)), state, rng)
+    ok1, post, _ = measure_projector(primal, state, rng)
+    on_span = Projector.onto_state(bundle.lookup(serial).money_state(), charge_to=bundle.dual_oracle(serial))
+    ok2, _, _ = measure_projector(on_span, post, rng, keep_post=False)
+    return ok1 and ok2, None
 
 
 def verifier_as_projector(bundle: OracleBundle, serial: bytes) -> Projector:
@@ -293,7 +309,7 @@ class HsMiniScheme(MiniScheme):
         return verify_circuit(self.bundle, serial, state, rng)
 
     def verify(self, serial, state, rng):
-        # the accept bit only: no transform back to the standard basis
+        # the accept bit only: the dual query on A's span, with no transform
         ok, _ = verify_circuit(self.bundle, serial, state, rng, transform_back=False)
         return ok
 

@@ -138,6 +138,10 @@ def _h(data: bytes) -> bytes:
 
 _DIGEST = 32
 _MSG_BITS = 256
+# what follows a leaf's prefix in each of its secrets: bit index j, then value
+_SECRET_SUFFIXES = tuple(
+    tuple(j.to_bytes(2, "big") + bytes([value]) for j in range(_MSG_BITS)) for value in (0, 1)
+)
 MAX_MESSAGE_BYTES = 1 << 20
 
 
@@ -165,18 +169,22 @@ class LamportMerkleSigner:
             raise ValueError("tree height out of range")
         self.height = tree_height
 
-    def _secret(self, master: bytes, leaf: int, bit: int, value: int) -> bytes:
-        return _h(master + leaf.to_bytes(4, "big") + bit.to_bytes(2, "big") + bytes([value]))
-
     def _leaf_secrets(self, master: bytes, leaf: int) -> Tuple[List[bytes], List[bytes]]:
-        """The leaf's 2 x 256 one-time secrets, for bit value 0 and 1."""
-        return tuple(
-            [self._secret(master, leaf, j, value) for j in range(_MSG_BITS)] for value in (0, 1)
-        )
+        """The leaf's 2 x 256 one-time secrets, for bit value 0 and 1: secret
+        (j, value) is SHA-256(master | leaf | j | value). The master and leaf
+        prefix is hashed once and each secret finishes a copy of it."""
+        prefix = hashlib.sha256(master + leaf.to_bytes(4, "big"))
+        halves = ([], [])
+        for half, suffixes in zip(halves, _SECRET_SUFFIXES):
+            for suffix in suffixes:
+                h = prefix.copy()
+                h.update(suffix)
+                half.append(h.digest())
+        return halves
 
     def _leaf_pk_halves(self, master: bytes, leaf: int) -> Tuple[List[bytes], List[bytes]]:
-        zeros, ones = self._leaf_secrets(master, leaf)
-        return [_h(s) for s in zeros], [_h(s) for s in ones]
+        sha256 = hashlib.sha256
+        return tuple([sha256(s).digest() for s in half] for half in self._leaf_secrets(master, leaf))
 
     def _leaf_hash(self, zeros: Sequence[bytes], ones: Sequence[bytes]) -> bytes:
         return _h(b"".join(zeros) + b"".join(ones))
@@ -211,7 +219,8 @@ class LamportMerkleSigner:
         # is the hash of the secret not revealed
         secrets = self._leaf_secrets(sk.master, leaf)
         reveals = [secrets[b][j] for j, b in enumerate(bits)]
-        complements = [_h(secrets[1 - b][j]) for j, b in enumerate(bits)]
+        sha256 = hashlib.sha256
+        complements = [sha256(secrets[1 - b][j]).digest() for j, b in enumerate(bits)]
         path = []
         idx = leaf
         for level in sk.levels[:-1]:
@@ -238,15 +247,16 @@ class LamportMerkleSigner:
 
         digest = _h(message)
         bits = [(digest[j // 8] >> (7 - j % 8)) & 1 for j in range(_MSG_BITS)]
+        sha256 = hashlib.sha256
         zeros = [b""] * _MSG_BITS
         ones = [b""] * _MSG_BITS
         for j in range(_MSG_BITS):
             if bits[j] == 0:
-                zeros[j] = _h(reveals[j])
+                zeros[j] = sha256(reveals[j]).digest()
                 ones[j] = complements[j]
             else:
                 zeros[j] = complements[j]
-                ones[j] = _h(reveals[j])
+                ones[j] = sha256(reveals[j]).digest()
         node = self._leaf_hash(zeros, ones)
         idx = leaf
         for sibling in path:

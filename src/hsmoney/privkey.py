@@ -75,11 +75,15 @@ class NaiveBank:
         self, serial: bytes, qubits: Sequence[int], rng: np.random.Generator
     ) -> Tuple[bool, List[int]]:
         """Measure every qubit in its recorded basis; accept iff all outcomes
-        match; always return the post-measurement qubits."""
+        match; always return the post-measurement qubits. A submission with
+        another qubit count than the record, or a code outside 0-3, counts as
+        a query and is rejected unmeasured, its qubits returned as given."""
         if serial not in self._records:
             raise KeyError("unknown serial")
         self.verify_queries += 1
         record = self._records[serial]
+        if len(qubits) != len(record) or not all(c in range(4) for c in qubits):
+            return False, list(qubits)
         ok = True
         post: List[int] = []
         for r, c in zip(record, qubits):

@@ -179,6 +179,31 @@ def hadamard_all(s: StateVector) -> StateVector:
     return StateVector._wrap(s.n_qubits, walsh_hadamard_raw(s.amps))
 
 
+# Reductions over amplitudes in numpy's own loops: BLAS's dot on a 2^16-long
+# vector wakes a second OpenBLAS thread, which then busy-waits.
+
+
+def _sqnorm(amps: np.ndarray) -> float:
+    """Squared 2-norm of a contiguous complex array."""
+    v = amps.view(np.float64)
+    return float(np.einsum("i,i->", v, v))
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b>, conjugating a, as `np.vdot` does."""
+    return complex(np.einsum("i,i->", a.conj(), b))
+
+
+def _scaled(amps: np.ndarray, factor: float) -> np.ndarray:
+    """amps times a real factor, in place on an array the caller owns. With
+    factor = 1 / c this is bit for bit the complex quotient amps / c, which
+    numpy also takes as a product with the reciprocal, at a fraction of its
+    cost."""
+    v = amps.view(np.float64)
+    np.multiply(v, factor, out=v)
+    return amps
+
+
 class CountedOracle:
     """Monotone query counter shared by every oracle."""
 
@@ -282,7 +307,7 @@ class Projector:
         if self.mask is not None:
             return np.where(self.mask, amps, 0.0)
         t = self.target.amps
-        return np.vdot(t, amps) * t
+        return _vdot(t, amps) * t
 
     def matrix(self) -> np.ndarray:
         dim = 1 << self.n_qubits
@@ -295,21 +320,25 @@ class Projector:
 
 
 def measure_projector(
-    p: Projector, s: StateVector, rng: np.random.Generator
-) -> Tuple[bool, StateVector, float]:
-    """Born-rule measurement of {P, I-P}; returns (outcome, post state, P-prob)."""
+    p: Projector, s: StateVector, rng: np.random.Generator, keep_post: bool = True
+) -> Tuple[bool, Optional[StateVector], float]:
+    """Born-rule measurement of {P, I-P}; returns (outcome, post state, P-prob).
+    With `keep_post=False` the post state is not built and None stands in for
+    it, after the same charge and draw."""
     if p.charge_to is not None:
         p.charge_to.charge()
     kept = p.project(s.amps)
-    prob = float(np.vdot(kept, kept).real)
-    prob = min(max(prob, 0.0), 1.0)
-    if rng.random() < prob:
-        return True, StateVector._wrap(s.n_qubits, kept / np.sqrt(prob)), prob
+    prob = min(max(_sqnorm(kept), 0.0), 1.0)
+    accepted = rng.random() < prob
+    if not keep_post:
+        return accepted, None, prob
+    if accepted:
+        return True, StateVector._wrap(s.n_qubits, _scaled(kept, 1.0 / np.sqrt(prob))), prob
     rest = s.amps - kept
-    rnorm = np.linalg.norm(rest)
+    rnorm = np.sqrt(_sqnorm(rest))
     if rnorm < 1e-15:
         raise ValueError("zero-probability branch requested deterministically")
-    return False, StateVector._wrap(s.n_qubits, rest / rnorm), prob
+    return False, StateVector._wrap(s.n_qubits, _scaled(rest, 1.0 / rnorm)), prob
 
 
 def verify_two_basis(

@@ -63,8 +63,10 @@ def test_run_reports_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_unknown_experiment_is_usage_error():
+def test_unknown_experiment_is_usage_error(capsys):
     assert main(["run", "no-such-experiment"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_cap_violation_is_usage_error(capsys):
@@ -72,8 +74,25 @@ def test_cap_violation_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
-def test_malformed_flag_usage_error():
+def test_malformed_flag_usage_error(capsys):
     assert main(["run", "duality-check", "--trials", "abc"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wiesner", "verify", "--n", "1.5"],
+        ["run", "duality-check", "--no-such-flag", "3"],
+        ["wiesner"],
+        ["no-such-command"],
+    ],
+)
+def test_parser_errors_are_one_line(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_mint_and_verify_explicit_flow(tmp_path, capsys):

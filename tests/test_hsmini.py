@@ -306,8 +306,8 @@ def _junk_state(b, serial):
 @pytest.mark.parametrize(
     "case, accepts, transforms",
     [
-        (lambda b, note: (note.serial, note.state), True, (1, 2)),
-        (lambda b, note: (note.serial, _junk_state(b, note.serial)), False, (1, 2)),
+        (lambda b, note: (note.serial, note.state), True, (0, 2)),
+        (lambda b, note: (note.serial, _junk_state(b, note.serial)), False, (0, 2)),
         (lambda b, note: (b"\xff" * 3, note.state), False, (0, 0)),
     ],
     ids=["honest", "junk-basis-state", "invalid-serial"],
@@ -329,6 +329,67 @@ def test_verify_is_verify_post_without_the_transform_back(case, accepts, transfo
     assert runs[0][0] == runs[1][0] == accepts
     assert runs[0][1:3] == runs[1][1:3]
     assert (runs[0][3], runs[1][3]) == transforms
+
+
+def _differential_state(kind, b, note, rng):
+    """(serial, state) of one kind for the boolean-versus-circuit check."""
+    n, amps = b.n, note.state.amps
+    if kind == "honest":
+        return note.serial, note.state
+    if kind == "phase-perturbed":
+        return note.serial, StateVector(n, amps * np.exp(1j * rng.normal(0.0, 0.4, 1 << n)))
+    if kind == "perturbed-2pct":
+        noise = qsim.haar_random_state(n, rng).amps
+        v = amps + 0.02 * noise
+        return note.serial, StateVector(n, v / np.linalg.norm(v))
+    if kind == "haar":
+        return note.serial, qsim.haar_random_state(n, rng)
+    if kind in ("junk-basis-state", "half-junk"):
+        sub = b.lookup(note.serial).subspace
+        outside = [x for x in range(1 << n) if not sub.contains(x)]
+        junk = StateVector.basis(n, outside[int(rng.integers(len(outside)))])
+        if kind == "junk-basis-state":
+            return note.serial, junk
+        # half its weight off A: the primal projection changes the state
+        _, perturbed = _differential_state("phase-perturbed", b, note, rng)
+        return note.serial, StateVector(n, (perturbed.amps + junk.amps) / np.sqrt(2.0))
+    assert kind == "unissued-serial"
+    serial = bytes(len(note.serial))
+    while b.lookup(serial) is not None:
+        serial = bytes([serial[0] + 1]) + serial[1:]
+    return serial, note.state
+
+
+_DIFFERENTIAL_KINDS = (
+    "honest", "phase-perturbed", "perturbed-2pct", "haar", "junk-basis-state", "half-junk", "unissued-serial",
+)
+
+
+@pytest.mark.parametrize("n, seeds", [(8, range(30)), (16, range(2))], ids=["n8", "n16"])
+def test_boolean_verify_matches_the_full_circuit(n, seeds):
+    # the boolean verifier makes its dual query on A's span with no transform;
+    # its verdict, draws and query charges must be the four-step circuit's
+    verdicts = set()
+    for seed in seeds:
+        b = hsmini.OracleBundle(n, np.random.default_rng(seed))
+        note = hsmini.bank(b, np.random.default_rng([seed, 1]))
+        for kind in _DIFFERENTIAL_KINDS:
+            serial, state = _differential_state(kind, b, note, np.random.default_rng([seed, 2]))
+            runs = []
+            for back in (True, False):
+                rng = np.random.default_rng([seed, 3])
+                before = (b.primal_queries, b.dual_queries)
+                ok, post = hsmini.verify_circuit(b, serial, state, rng, transform_back=back)
+                queries = (b.primal_queries - before[0], b.dual_queries - before[1])
+                runs.append((ok, rng.bit_generator.state, queries))
+            assert runs[0] == runs[1], (seed, kind)
+            assert runs[0][2] == ((0, 0) if kind == "unissued-serial" else (1, 1))
+            verdicts.add((kind, runs[0][0]))
+    # the cases reach both verdicts wherever the state allows it
+    assert {("honest", True), ("junk-basis-state", False), ("unissued-serial", False)} <= verdicts
+    if n == 8:
+        assert {("phase-perturbed", True), ("phase-perturbed", False), ("half-junk", True),
+                ("half-junk", False)} <= verdicts
 
 
 def test_neighbor_collision_bound_sampled():

@@ -203,13 +203,25 @@ def test_lamport_signature_bytes_are_pinned(monkeypatch):
     sk = money._LamportPrivateKey(master, 3, signer._tree_levels(master), next_leaf=5)
     assert sk.levels[-1][0].hex() == "99875435d424d000d759c6eb859c5b1242dde4286b720c6101984152a999fa17"
     calls = []
-    h = money._h
-    monkeypatch.setattr(money, "_h", lambda data: calls.append(1) or h(data))
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(money.hashlib, "sha256", lambda *data: calls.append(1) or sha256(*data))
     sig = signer.sign(sk, b"serial-42")
+    monkeypatch.undo()
     assert hashlib.sha256(sig).hexdigest() == "c74f9f99680fdad91c095841d848f4c7462de0ecb0e70dd31d42e39d95464366"
-    # 512 secrets, 256 hashes of the unrevealed ones, one message digest
-    assert len(calls) == 2 * 256 + 256 + 1
+    # one leaf prefix, whose copies finish the 512 secrets, 256 hashes of the
+    # unrevealed ones, one message digest
+    assert len(calls) == 1 + 256 + 1
     assert signer.sverify(sk.levels[-1][0], b"serial-42", sig)
+
+
+def test_lamport_keygen_and_sign_are_pinned():
+    # digests taken from the signer that hashed every secret's whole input
+    signer = LamportMerkleSigner(tree_height=3)
+    sk, pk = signer.keygen(np.random.default_rng(2024))
+    assert hashlib.sha256(pk).hexdigest() == "de1f8dbb651e6b020248708a2086442ba14dbbaf04f54db5d973e613025b2753"
+    sig = signer.sign(sk, b"pin")
+    assert hashlib.sha256(sig).hexdigest() == "0de0609e58d2c6621ace8362f85783f0405625453fb712b14d0a9b8e6e486ef4"
+    assert signer.sverify(pk, b"pin", sig)
 
 
 def test_lamport_signature_not_valid_for_other_message():
@@ -273,8 +285,8 @@ def test_wrapped_money_scheme_as_mini(scheme):
 
 
 def test_wrapped_verify_runs_the_inner_boolean_verifier(scheme, monkeypatch):
-    # one transform per verify, as ComposedScheme.verify makes: the circuit's
-    # transform back builds a post state that nothing reads
+    # no transform, as ComposedScheme.verify makes none: the boolean verifier
+    # makes its dual query on A's span, and builds no post state
     m, rng = scheme
     wrapper, note = _wrapped(m, rng)
     pk, inner, sig = WrappedAsMini._unpack(note.serial)
@@ -285,7 +297,7 @@ def test_wrapped_verify_runs_the_inner_boolean_verifier(scheme, monkeypatch):
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         calls.clear()
         ok = wrapper.verify(note.serial, state, rng_a)
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert ok == wrapper.scheme.verify(pk, MoneyNote(inner, sig, state), rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 

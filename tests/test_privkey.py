@@ -36,6 +36,31 @@ def test_unknown_serial_raises():
         bank.verify(b"missing!", note.qubits, rng)
 
 
+@pytest.mark.parametrize(
+    "submit",
+    [
+        lambda q: [],
+        lambda q: q[:3],
+        lambda q: q + [q[0]],
+        lambda q: q[:-1] + [4],
+        lambda q: q[:-1] + [-1],
+        lambda q: q[:-1] + [1.5],
+    ],
+    ids=["empty", "prefix", "extra-qubit", "code-4", "code-minus-1", "code-1.5"],
+)
+def test_malformed_submission_is_rejected_unmeasured(submit):
+    # the bank measures every qubit of the note, so a note of another length
+    # or with a code outside the four states never passes, and draws nothing
+    rng = np.random.default_rng(117)
+    bank, note = wiesner_bank(16, rng)
+    qubits = submit(list(note.qubits))
+    before = rng.bit_generator.state
+    ok, post = bank.verify(note.serial, qubits, rng)
+    assert not ok and post == qubits
+    assert rng.bit_generator.state == before
+    assert bank.verify_queries == 1
+
+
 def test_single_wrong_basis_qubit_half_rate():
     rng = np.random.default_rng(112)
     bank, note = wiesner_bank(8, rng)
