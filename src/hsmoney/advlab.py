@@ -27,7 +27,6 @@ from .qsim import (
     Projector,
     ReflectAboutState,
     StateVector,
-    check_qubits,
     haar_random_state,
     hadamard_all,
     measure_projector,
@@ -69,13 +68,13 @@ class SubspaceNeighborRelation:
         n = self.n
         a = random_subspace(n, n // 2, rng)
         b = self._neighbor(a, rng)
-        init_u = self._lifted_state(a)
-        init_v = self._lifted_state(b)
+        # the money states, with the extra top qubit of the combined oracles in |0>
+        ancilla = StateVector.basis(1, 0)
         return PairSample(
             oracle_u=oracle_for_dual_pair(a, "U_A*"),
             oracle_v=oracle_for_dual_pair(b, "U_B*"),
-            init_u=init_u,
-            init_v=init_v,
+            init_u=subspace_state(a).tensor(ancilla),
+            init_v=subspace_state(b).tensor(ancilla),
             meta={"subspace_u": a, "subspace_v": b},
         )
 
@@ -91,13 +90,6 @@ class SubspaceNeighborRelation:
             x = int(rng.integers(0, 1 << a.n))
             if not a.contains(x):
                 return Subspace.from_rows(list(core.basis) + [x], a.n)
-
-    def _lifted_state(self, a: Subspace) -> StateVector:
-        base = subspace_state(a)
-        check_qubits(a.n + 1)
-        amps = np.zeros(1 << (a.n + 1), dtype=np.complex128)
-        amps[: 1 << a.n] = base.amps
-        return StateVector._wrap(a.n + 1, amps)
 
 
 class HaarPairRelation:

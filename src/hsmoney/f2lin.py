@@ -252,26 +252,6 @@ class LinMap:
         mask = (1 << n) - 1
         return LinMap(n, tuple((row >> n) & mask for row in aug))
 
-    def compose(self, other: "LinMap") -> "LinMap":
-        """self after other: (self.compose(other)).apply(x) = self(other(x))."""
-        if self.n != other.n:
-            raise ValueError("ambient dims differ")
-        return LinMap(self.n, tuple(other.transpose_apply_rows(self.rows)))
-
-    def transpose_apply_rows(self, rows: Sequence[int]) -> List[int]:
-        # row r of (R @ M) equals the vector with bit j = parity(r & column_j(M)),
-        # computed here by accumulating rows of M for each set bit of r.
-        out = []
-        for r in rows:
-            acc = 0
-            rr = r
-            while rr:
-                i = (rr & -rr).bit_length() - 1
-                acc ^= self.rows[i]
-                rr &= rr - 1
-            out.append(acc)
-        return out
-
     def permutation_table(self) -> np.ndarray:
         """apply(x) for every x in 0..2^n-1; the transpose's rows are the columns."""
         return point_tables(np.array([self.transpose().rows], dtype=np.int64))[0]

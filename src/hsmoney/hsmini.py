@@ -237,30 +237,6 @@ def verify_circuit(
     return ok1 and ok2, None
 
 
-def verifier_as_projector(bundle: OracleBundle, serial: bytes) -> Projector:
-    """Rank-1 projector onto the money state (bank-side view of the verifier)."""
-    entry = bundle.lookup(serial)
-    if entry is None:
-        raise ValueError("invalid serial")
-    return Projector.onto_state(entry.money_state())
-
-
-def verifier_circuit_matrix(bundle: OracleBundle, serial: bytes) -> np.ndarray:
-    """Dense operator H P_dual H P_primal for operator-identity checks."""
-    entry = bundle.lookup(serial)
-    if entry is None:
-        raise ValueError("invalid serial")
-    if bundle.n > 10:
-        raise ValueError("dense circuit matrix only built for n <= 10")
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    had = np.array([[1.0]])
-    for _ in range(bundle.n):
-        had = np.kron(had, h)
-    mask_a = np.diag(subspace_mask(entry.subspace).astype(float))
-    mask_d = np.diag(subspace_mask(entry.subspace.dual()).astype(float))
-    return had @ mask_d @ had @ mask_a
-
-
 def verifier_operator_distance(bundle: OracleBundle, serial: bytes) -> float:
     """Max entrywise |circuit - rank-1 projector| over the full operator.
 

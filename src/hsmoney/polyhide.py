@@ -243,10 +243,6 @@ class PolySystem:
     def m(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def beta(self) -> float:
-        return self.m / self.n_vars
-
     def standard_threshold(self) -> int:
         return math.floor(self.eps * self.m + 1e-9)
 
@@ -297,6 +293,11 @@ class PolySystem:
         eps = float(head["eps"])
         if not 0 < n <= config.qubit_cap():
             raise ValueError(f"{n} variables outside (0, {config.qubit_cap()}]")
+        # the ranges a minted system has; NaN fails the comparison too
+        if not 0 <= eps < 1:
+            raise ValueError(f"noise rate eps={eps} outside [0, 1)")
+        if not 1 <= d <= config.F2_DIM_CAP:
+            raise ValueError(f"degree bound d={d} outside [1, {config.F2_DIM_CAP}]")
         check_table(m, n)
         if len(lines) - 1 != m:
             raise ValueError(f"header claims {m} polynomials, found {len(lines) - 1}")
@@ -429,7 +430,6 @@ def _systems_well_formed(primal: PolySystem, dual: PolySystem) -> bool:
         and primal.degree_bound == dual.degree_bound
         and primal.m == dual.m
         and primal.eps == dual.eps
-        and primal.m == math.ceil(primal.beta * primal.n_vars)
     )
 
 

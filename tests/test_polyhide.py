@@ -323,6 +323,15 @@ def test_explicit_scheme_honest():
         assert zset_subspace(note.primal_system) == secret
 
 
+def test_explicit_note_with_123_rows_at_n14_verifies():
+    # beta 8.75 sets ceil(8.75 * 14) = 123 rows; (123 / 14) * 14 rounds above
+    # 123, so a format check that recomputed m from m / n refused this note
+    rng = np.random.default_rng(109)
+    note, _ = bank_explicit_with_secret(14, 4, 0.25, 8.75, rng)
+    assert note.primal_system.m == 123
+    assert verify_explicit(note, rng)
+
+
 def test_explicit_malformed_serial_rejects():
     rng = np.random.default_rng(95)
     note, _ = bank_explicit_with_secret(8, 4, 0.25, 12.0, rng)
@@ -425,6 +434,19 @@ def test_serialization_roundtrip():
     assert np.array_equal(back.coeffs, sys.coeffs)
     assert back.eps == sys.eps
     assert back.serialize() == text
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("eps", "inf"), ("eps", "-inf"), ("eps", "1e308"), ("eps", "nan"), ("eps", "1.0"), ("eps", "-0.1"),
+     ("d", "-3"), ("d", "0"), ("d", "25"), ("d", "100000000000000000000")],
+)
+def test_deserialize_refuses_header_values_no_mint_gives(key, value):
+    # eps in [0, 1) as sample_noisy_system mints it; d in [1, F2_DIM_CAP] as the catalog bounds it
+    head = {"n": "4", "d": "2", "m": "1", "eps": "0.25", key: value}
+    text = " ".join(f"{k}={v}" for k, v in head.items()) + "\n-\n"
+    with pytest.raises(ValueError, match=f"{key}="):
+        PolySystem.deserialize(text)
 
 
 def test_degree1_attack_recovers():

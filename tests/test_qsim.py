@@ -190,7 +190,7 @@ def test_measure_projector_uniform_acceptance_rate():
     rng = np.random.default_rng(29)
     n = 8
     a = f2lin.random_subspace(n, 4, rng)
-    p = Projector.from_subspace(a)
+    p = Projector.from_mask(n, qsim.subspace_mask(a))
     _, _, prob = measure_projector(p, StateVector.uniform(n), rng)
     assert prob == pytest.approx(2 ** (-n // 2), abs=1e-12)
 
@@ -334,19 +334,6 @@ def test_tensor_register_layout():
     assert joint.amps[0b01 | (0b10 << 2)] == pytest.approx(1.0)
 
 
-def test_apply_projector_on_register():
-    rng = np.random.default_rng(38)
-    a = f2lin.random_subspace(4, 2, rng)
-    sa = subspace_state(a)
-    psi = haar_random_state(4, rng)
-    joint = sa.tensor(psi)
-    p = Projector.onto_state(sa)
-    out0 = qsim.apply_projector_on_register(joint.amps, 4, 0, p)
-    assert np.vdot(out0, out0).real == pytest.approx(1.0)  # register 0 already |A>
-    out1 = qsim.apply_projector_on_register(joint.amps, 4, 1, p)
-    assert np.vdot(out1, out1).real == pytest.approx(psi.overlap(sa) ** 2)
-
-
 class _FixedDraw:
     """Stand-in generator whose every uniform draw is u."""
 
@@ -361,24 +348,19 @@ class _FixedDraw:
 def test_measure_register_matches_projector_on_register(layout):
     # the measurement accepts exactly when the draw lies below the reference
     # probability (pinned to 1e-12 from both sides), and both branches give
-    # the reference post-states to rounding; the top register is contracted
-    # through a different view than the reference's, so bits may differ
+    # the reference post-states to rounding; the reference is the explicit
+    # operator |t><t| on the register and the identity on the other qubits,
+    # applied as a dense matrix, so it shares no reshape with measure_register
     n = 4
     rng = np.random.default_rng(39)
     target = haar_random_state(n, rng)
-    if layout == "low of n+1":
-        joint = haar_random_state(n + 1, rng).amps
-        # reference: pad to 2n qubits with |0> above, then project register 0
-        padded = np.zeros(1 << (2 * n), dtype=np.complex128)
-        padded[: len(joint)] = joint
-        kept = qsim.apply_projector_on_register(padded, n, 0, Projector.onto_state(target))
-        assert not kept[len(joint):].any()
-        kept = kept[: len(joint)]
-    else:
-        joint = haar_random_state(2 * n, rng).amps
-        reg = 1 if layout == "top of 2n" else 0
-        kept = qsim.apply_projector_on_register(joint, n, reg, Projector.onto_state(target))
+    others = 1 if layout == "low of n+1" else n
+    joint = haar_random_state(n + others, rng).amps
     top = layout == "top of 2n"
+    on_target = np.outer(target.amps, target.amps.conj())
+    rest_id = np.eye(1 << others)
+    # np.kron puts its first factor on the high index bits
+    kept = (np.kron(on_target, rest_id) if top else np.kron(rest_id, on_target)) @ joint
     prob = float(np.vdot(kept, kept).real)
     rest = joint - kept
 
