@@ -3,12 +3,12 @@
 The oracle bundle holds a banknote generator G (r -> serial, subspace), a
 serial checker H, and serial-indexed primal/dual subspace testers. G is
 materialized lazily and memoized per r; serial collisions are resampled so
-serials stay pairwise distinct. Verification runs the four-step circuit
-project / transform / project / transform, charging exactly one primal and
-one dual oracle query. The boolean verifier returns only the verdict and
-makes its dual query on A's span: after the primal projection the state lies
-in the span of A's members, where the transformed dual test is the rank-1
-projector onto the money state, so it runs no transform.
+serials stay pairwise distinct. Verification returns the verdict of the
+four-step circuit project / transform / project / transform, charging
+exactly one primal and one dual oracle query. It makes its dual query on A's
+span: after the primal projection the state lies in the span of A's members,
+where the transformed dual test is the rank-1 projector onto the money
+state, so it runs no transform.
 
 Each bundle entry memoises its subspace's member indices: 2^(n/2) read-only
 int64 values (128 B at n=8, 2 KiB at n=16), filled by the first `bank` or
@@ -36,7 +36,6 @@ from .qsim import (
     measure_projector,
     subspace_mask,
     uniform_on,
-    verify_two_basis,
     walsh_hadamard_raw,
 )
 
@@ -203,38 +202,25 @@ def bank(bundle: OracleBundle, rng: np.random.Generator) -> Banknote:
     return Banknote(serial, bundle.lookup(serial).money_state())
 
 
-def verify_circuit(
-    bundle: OracleBundle,
-    serial: bytes,
-    state: StateVector,
-    rng: np.random.Generator,
-    transform_back: bool = True,
-) -> Tuple[bool, Optional[StateVector]]:
-    """Project onto the subspace, transform, project onto the dual, transform.
+def verify_circuit(bundle: OracleBundle, serial: bytes, state: StateVector, rng: np.random.Generator) -> bool:
+    """The accept bit of the four-step circuit: project onto the subspace,
+    transform, project onto the dual, transform.
 
     Rejects invalid serials outright; otherwise charges exactly one primal
     and one dual query, and accepts a pure state with probability equal to
-    its squared overlap with the money state.
-
-    `transform_back=False` returns only the verdict, with None for the post
-    state of a valid serial, and makes the dual query on A's span: after the
-    primal projection the state lies in the span of A's members, where
-    H P_{A_perp} H acts as |A><A|, so the dual test measures the rank-1
-    projector onto the money state and needs no transform. After a primal
-    rejection the verdict is already false; the dual test still charges its
-    query and draws its uniform, as the circuit does. Unlike the circuit,
-    this path never raises on a zero-norm dual branch, since it builds no
-    dual post state.
+    its squared overlap with the money state. The dual query is made on A's
+    span: after the primal projection the state lies in the span of A's
+    members, where H P_{A_perp} H acts as |A><A|, so the dual test measures
+    the rank-1 projector onto the money state and needs no transform. After
+    a primal rejection the verdict is already false; the dual test still
+    charges its query and draws its uniform, as the circuit does.
     """
     if not bundle.check_serial(serial):
-        return False, state
-    primal = Projector.from_oracle(bundle.primal_oracle(serial))
-    if transform_back:
-        return verify_two_basis(primal, Projector.from_oracle(bundle.dual_oracle(serial)), state, rng)
-    ok1, post, _ = measure_projector(primal, state, rng)
+        return False
+    ok1, post, _ = measure_projector(Projector.from_oracle(bundle.primal_oracle(serial)), state, rng)
     on_span = Projector.onto_state(bundle.lookup(serial).money_state(), charge_to=bundle.dual_oracle(serial))
     ok2, _, _ = measure_projector(on_span, post, rng, keep_post=False)
-    return ok1 and ok2, None
+    return ok1 and ok2
 
 
 def verifier_operator_distance(bundle: OracleBundle, serial: bytes) -> float:
@@ -281,13 +267,8 @@ class HsMiniScheme(MiniScheme):
         entry = self.bundle.lookup(serial)
         return None if entry is None else entry.money_state()
 
-    def verify_post(self, serial, state, rng):
-        return verify_circuit(self.bundle, serial, state, rng)
-
     def verify(self, serial, state, rng):
-        # the accept bit only: the dual query on A's span, with no transform
-        ok, _ = verify_circuit(self.bundle, serial, state, rng, transform_back=False)
-        return ok
+        return verify_circuit(self.bundle, serial, state, rng)
 
 
 class ConjugatedOracle(PhaseOracle):

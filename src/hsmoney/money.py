@@ -38,11 +38,12 @@ class MiniScheme:
 
     A mini-scheme is its rank-1 target plus its coins. Subclasses set `n`
     (qubits per money state) and `completeness_error`, and implement `bank`
-    and `target_state`. `verify_post` measures {|t><t|, I - |t><t|} for the
-    serial's target t; after a quantum acceptance, `classical_accept` tosses
-    one uniform per rate of `reject_rates`, in order, while each passes (a
-    coin below its rate rejects). A scheme may verify by another circuit with
-    the same statistics, as the two-basis test does.
+    and `target_state`. `verify` measures {|t><t|, I - |t><t|} for the
+    serial's target t, building no post state; after a quantum acceptance,
+    `classical_accept` tosses one uniform per rate of `reject_rates`, in
+    order, while each passes (a coin below its rate rejects). A scheme may
+    verify by another circuit with the same statistics, as the two-basis
+    test does.
     """
 
     n: int
@@ -60,18 +61,12 @@ class MiniScheme:
     def classical_accept(self, rng: np.random.Generator) -> bool:
         return all(rng.random() >= rate for rate in self.reject_rates)
 
-    def verify_post(
-        self, serial: bytes, state: StateVector, rng: np.random.Generator
-    ) -> Tuple[bool, StateVector]:
+    def verify(self, serial: bytes, state: StateVector, rng: np.random.Generator) -> bool:
         target = self.target_state(serial)
         if target is None:
-            return False, state
-        ok, post, _ = measure_projector(Projector.onto_state(target), state, rng)
-        return ok and self.classical_accept(rng), post
-
-    def verify(self, serial: bytes, state: StateVector, rng: np.random.Generator) -> bool:
-        ok, _ = self.verify_post(serial, state, rng)
-        return ok
+            return False
+        ok, _, _ = measure_projector(Projector.onto_state(target), state, rng, keep_post=False)
+        return ok and self.classical_accept(rng)
 
     def verify_all(
         self, serials: Sequence[bytes], states: Sequence[StateVector], rng: np.random.Generator
@@ -99,13 +94,14 @@ def verify2_post(
     rng: np.random.Generator,
     keep_post: bool = True,
 ) -> Tuple[bool, Optional[JointInput]]:
-    """Double verifier: both single verifications of `m.verify_post`'s
-    contract, the first on the low register and the second on the top one.
-    A pair (sigma, xi) is the product state sigma (low) tensor xi (top), so
-    each register is measured on its own 2^n amplitudes and the joint post
-    state is built only when asked for; a joint `StateVector`, which may be
-    entangled, is measured as a whole. A serial without a target rejects the
-    input unmeasured, as it is given. With `keep_post=False` the post state
+    """Double verifier: two single verifications of `m.verify`'s contract,
+    each a rank-1 measurement and then the coins, the first on the low
+    register and the second on the top one. A pair (sigma, xi) is the
+    product state sigma (low) tensor xi (top), so each register is measured
+    on its own 2^n amplitudes and the joint post state is built only when
+    asked for; a joint `StateVector`, which may be entangled, is measured as
+    a whole. A serial without a target rejects the input unmeasured, as it
+    is given. With `keep_post=False` the post state
     after the second measurement, which only the caller could read, is not
     built and None stands in for it; the draws are the same."""
     joint = isinstance(states, StateVector)
@@ -320,12 +316,6 @@ class ComposedScheme:
     def verify(self, pk, note: MoneyNote, rng: np.random.Generator) -> bool:
         return self.signed(pk, note.serial, note.signature) and self.mini.verify(note.serial, note.state, rng)
 
-    def verify_post(self, pk, note: MoneyNote, rng: np.random.Generator) -> Tuple[bool, StateVector]:
-        # a note whose signature fails is rejected unmeasured, as in verify
-        if not self.signed(pk, note.serial, note.signature):
-            return False, note.state
-        return self.mini.verify_post(note.serial, note.state, rng)
-
 
 def count_notes(
     scheme: ComposedScheme, pk, notes: Sequence[MoneyNote], rng: np.random.Generator
@@ -382,19 +372,9 @@ class WrappedAsMini(MiniScheme):
             return None
         return self.scheme.mini.target_state(parts[1])
 
-    def _note(self, serial: bytes, state: StateVector) -> Optional[Tuple[bytes, MoneyNote]]:
-        """(pk, the inner note), or None for a malformed serial."""
-        parts = self._unpack(serial)
-        return None if parts is None else (parts[0], MoneyNote(parts[1], parts[2], state))
-
-    def verify_post(self, serial, state, rng):
-        note = self._note(serial, state)
-        return (False, state) if note is None else self.scheme.verify_post(*note, rng)
-
     def verify(self, serial, state, rng):
-        # the inner scheme's boolean verifier, which builds no post state
-        note = self._note(serial, state)
-        return note is not None and self.scheme.verify(*note, rng)
+        parts = self._unpack(serial)
+        return parts is not None and self.scheme.verify(parts[0], MoneyNote(parts[1], parts[2], state), rng)
 
 
 def _count_accepts(probs: List[float], rates: Tuple[float, ...], rng: np.random.Generator) -> int:

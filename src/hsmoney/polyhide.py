@@ -298,6 +298,8 @@ class PolySystem:
             raise ValueError(f"noise rate eps={eps} outside [0, 1)")
         if not 1 <= d <= config.F2_DIM_CAP:
             raise ValueError(f"degree bound d={d} outside [1, {config.F2_DIM_CAP}]")
+        if m < 1:  # a minted system has m = ceil(beta n) >= 1 rows
+            raise ValueError(f"row count m={m} below 1")
         check_table(m, n)
         if len(lines) - 1 != m:
             raise ValueError(f"header claims {m} polynomials, found {len(lines) - 1}")
@@ -369,22 +371,20 @@ def zset_membership_variant(sys: PolySystem, v: int) -> bool:
     return sys.weight(v) <= sys.variant_threshold()
 
 
-def zset_mask(sys: PolySystem, variant: Optional[bool] = None) -> np.ndarray:
+def zset_mask(sys: PolySystem) -> np.ndarray:
     """Boolean Z-set membership over all 2^n points.
 
     The standard rule keeps the hidden subspace in Z with certainty while
     eps < 1/3; beyond that the variant threshold is used.
     """
     _warn_if_degenerate(sys)
-    if variant is None:
-        variant = sys.eps >= 1 / 3
-    thr = sys.variant_threshold() if variant else sys.standard_threshold()
+    thr = sys.variant_threshold() if sys.eps >= 1 / 3 else sys.standard_threshold()
     return sys.zero_count_table() <= thr
 
 
-def zset_subspace(sys: PolySystem, variant: Optional[bool] = None) -> Optional[Subspace]:
+def zset_subspace(sys: PolySystem) -> Optional[Subspace]:
     """The Z-set as a subspace, or None when it is not one."""
-    mask = zset_mask(sys, variant)
+    mask = zset_mask(sys)
     members = np.flatnonzero(mask)
     size = len(members)
     if size == 0 or size & (size - 1):
@@ -433,26 +433,15 @@ def _systems_well_formed(primal: PolySystem, dual: PolySystem) -> bool:
     )
 
 
-def verify_explicit_post(
-    note: ExplicitNote, rng: np.random.Generator, transform_back: bool = True
-) -> Tuple[bool, Optional[StateVector]]:
-    """Format check, then the four-step circuit with Z-set projectors.
-    `transform_back=False` skips the final transform and returns None for
-    the post state of a well-formed note (see `qsim.verify_two_basis`)."""
+def verify_explicit(note: ExplicitNote, rng: np.random.Generator) -> bool:
+    """Format check, then the two-basis test with Z-set projectors."""
     primal, dual = note.primal_system, note.dual_system
-    if not _systems_well_formed(primal, dual):
-        return False, note.state
-    if note.state.n_qubits != primal.n_vars:
-        return False, note.state
+    if not _systems_well_formed(primal, dual) or note.state.n_qubits != primal.n_vars:
+        return False
     n = primal.n_vars
     p_z = Projector.from_mask(n, zset_mask(primal))
     p_zperp = Projector.from_mask(n, zset_mask(dual))
-    return verify_two_basis(p_z, p_zperp, note.state, rng, transform_back)
-
-
-def verify_explicit(note: ExplicitNote, rng: np.random.Generator) -> bool:
-    ok, _ = verify_explicit_post(note, rng, transform_back=False)
-    return ok
+    return verify_two_basis(p_z, p_zperp, note.state, rng)
 
 
 def degree1_attack(primal: PolySystem, dual: PolySystem) -> Subspace:

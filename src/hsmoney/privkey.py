@@ -246,13 +246,12 @@ class AdaptiveAttackResult:
     queries: int
 
 
-def _swap_out(bank, samples_per_candidate: Optional[int], submit) -> AdaptiveAttackResult:
+def _swap_out(bank, samples_per_candidate: int, submit) -> AdaptiveAttackResult:
     """The swap-out attack: for qubit i and candidate b, estimate the pass
-    rate of `submit(i, b) -> bool` from samples_per_candidate submissions
-    (None means default_samples_per_candidate(n)), and recover each qubit as
-    its best-passing candidate. The queries are those the bank counted."""
-    n = bank.n
-    samples = samples_per_candidate or default_samples_per_candidate(n)
+    rate of `submit(i, b) -> bool` from samples_per_candidate submissions,
+    and recover each qubit as its best-passing candidate. The queries are
+    those the bank counted."""
+    n, samples = bank.n, samples_per_candidate
     before = bank.verify_queries
     rates = np.zeros((n, 4))
     for i in range(n):
@@ -265,7 +264,7 @@ def _swap_out(bank, samples_per_candidate: Optional[int], submit) -> AdaptiveAtt
 def adaptive_attack(
     bank: NaiveBank,
     note: WiesnerNote,
-    samples_per_candidate: Optional[int],
+    samples_per_candidate: int,
     rng: np.random.Generator,
 ) -> AdaptiveAttackResult:
     """Recover the note qubit by qubit by swapping in candidate states.
@@ -371,7 +370,7 @@ def transplanted_adaptive_attack(
     bank: KeyedSubspaceBank,
     serial: bytes,
     state: StateVector,
-    samples_per_candidate: Optional[int],
+    samples_per_candidate: int,
     rng: np.random.Generator,
 ) -> AdaptiveAttackResult:
     """The swap-out attack run verbatim against the keyed-subspace scheme.

@@ -328,22 +328,13 @@ def measure_projector(
     return False, StateVector._wrap(s.n_qubits, _scaled(rest, 1.0 / rnorm)), prob
 
 
-def verify_two_basis(
-    primal: Projector,
-    dual: Projector,
-    state: StateVector,
-    rng: np.random.Generator,
-    transform_back: bool = True,
-) -> Tuple[bool, Optional[StateVector]]:
+def verify_two_basis(primal: Projector, dual: Projector, state: StateVector, rng: np.random.Generator) -> bool:
     """Two-basis verifier: measure the primal projector, Hadamard every qubit,
-    measure the dual projector, transform back. Accepts when both accept.
-
-    With `transform_back=False` the last transform, which only produces the
-    post-measurement state, is skipped and None stands in for that state;
-    the measurements, their RNG draws and query charges are the same."""
+    measure the dual projector. Accepts when both accept; the dual
+    measurement builds no post state."""
     ok1, s, _ = measure_projector(primal, state, rng)
-    ok2, s, _ = measure_projector(dual, hadamard_all(s), rng)
-    return ok1 and ok2, hadamard_all(s) if transform_back else None
+    ok2, _, _ = measure_projector(dual, hadamard_all(s), rng, keep_post=False)
+    return ok1 and ok2
 
 
 def measure_register(

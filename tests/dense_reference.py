@@ -20,6 +20,12 @@ probability of a composite note from one stacked contraction and draws its
 uniforms in blocks. The binomial tail here is a sum of `Fraction` terms;
 `hsmoney.money.CompositeScheme.exact_completeness_error` sums integers over
 one power-of-two denominator.
+The two-basis verifier here is the full four-step circuit, project,
+transform, project, transform, and returns its post state;
+`hsmoney.qsim.verify_two_basis` and `hsmoney.polyhide.verify_explicit` skip
+the last transform and the dual post state, and
+`hsmoney.hsmini.verify_circuit` makes its dual query on A's span as a rank-1
+measurement with no transform. All return only the verdict.
 """
 
 import math
@@ -29,8 +35,8 @@ from typing import List, Tuple
 import numpy as np
 
 from hsmoney.f2lin import LinMap, Subspace, rref
-from hsmoney.polyhide import xor_mobius_inplace
-from hsmoney.qsim import Projector, StateVector, measure_projector
+from hsmoney.polyhide import _systems_well_formed, xor_mobius_inplace, zset_mask
+from hsmoney.qsim import Projector, StateVector, hadamard_all, measure_projector
 from hsmoney.search import SearchProblem
 
 
@@ -175,3 +181,35 @@ def binomial_tail(k: int, threshold: int, eps: float) -> float:
     rounded once to a float."""
     p = 1 - Fraction(eps)
     return float(sum(math.comb(k, j) * p ** j * (1 - p) ** (k - j) for j in range(threshold)))
+
+
+def verify_two_basis(
+    primal: Projector, dual: Projector, state: StateVector, rng: np.random.Generator
+) -> Tuple[bool, StateVector]:
+    """The four-step circuit: measure the primal projector, Hadamard every
+    qubit, measure the dual projector, transform back. Returns the verdict,
+    true when both accept, and the post state."""
+    ok1, s, _ = measure_projector(primal, state, rng)
+    ok2, s, _ = measure_projector(dual, hadamard_all(s), rng)
+    return ok1 and ok2, hadamard_all(s)
+
+
+def verify_circuit(bundle, serial: bytes, state: StateVector, rng: np.random.Generator) -> Tuple[bool, StateVector]:
+    """The serial check of an oracle bundle, then the four-step circuit with
+    the serial's primal and dual oracles; an invalid serial rejects the state
+    unmeasured."""
+    if not bundle.check_serial(serial):
+        return False, state
+    primal = Projector.from_oracle(bundle.primal_oracle(serial))
+    return verify_two_basis(primal, Projector.from_oracle(bundle.dual_oracle(serial)), state, rng)
+
+
+def verify_explicit(note, rng: np.random.Generator) -> Tuple[bool, StateVector]:
+    """The format check of an explicit note, then the four-step circuit with
+    Z-set projectors; a malformed note rejects the state unmeasured."""
+    primal, dual = note.primal_system, note.dual_system
+    if not _systems_well_formed(primal, dual) or note.state.n_qubits != primal.n_vars:
+        return False, note.state
+    n = primal.n_vars
+    p_z = Projector.from_mask(n, zset_mask(primal))
+    return verify_two_basis(p_z, Projector.from_mask(n, zset_mask(dual)), note.state, rng)

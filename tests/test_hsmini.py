@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference
 from hsmoney import f2lin, hsmini, qsim
 from hsmoney.f2lin import Subspace
 from hsmoney.qsim import StateVector, subspace_state
@@ -64,7 +65,8 @@ def test_bank_and_verify_honest(bundle):
     b, rng = bundle
     for _ in range(20):
         note = hsmini.bank(b, rng)
-        ok, post = hsmini.verify_circuit(b, note.serial, note.state, rng)
+        assert hsmini.verify_circuit(b, note.serial, note.state, rng)
+        ok, post = dense_reference.verify_circuit(b, note.serial, note.state, rng)
         assert ok
         assert post.overlap(note.state) == pytest.approx(1.0, abs=1e-9)
 
@@ -89,8 +91,7 @@ def test_verify_charges_two_subspace_queries(bundle):
 def test_verify_invalid_serial_rejects(bundle):
     b, rng = bundle
     note = hsmini.bank(b, rng)
-    ok, _ = hsmini.verify_circuit(b, b"\xff" * 3, note.state, rng)
-    assert not ok
+    assert not hsmini.verify_circuit(b, b"\xff" * 3, note.state, rng)
 
 
 def test_verify_orthogonal_rejects(bundle):
@@ -99,8 +100,7 @@ def test_verify_orthogonal_rejects(bundle):
     entry = b.lookup(note.serial)
     outside = next(x for x in range(1 << 8) if not entry.subspace.contains(x))
     for _ in range(20):
-        ok, _ = hsmini.verify_circuit(b, note.serial, StateVector.basis(8, outside), rng)
-        assert not ok
+        assert not hsmini.verify_circuit(b, note.serial, StateVector.basis(8, outside), rng)
 
 
 def test_verify_neighbor_quarter_rate(bundle):
@@ -115,7 +115,7 @@ def test_verify_neighbor_quarter_rate(bundle):
     nb = Subspace.from_rows(keep + [x], 8)
     state = subspace_state(nb)
     trials = 1500
-    hits = sum(hsmini.verify_circuit(b, note.serial, state, rng)[0] for _ in range(trials))
+    hits = sum(hsmini.verify_circuit(b, note.serial, state, rng) for _ in range(trials))
     sigma = math.sqrt(0.25 * 0.75 / trials)
     assert abs(hits / trials - 0.25) < 4 * sigma
 
@@ -303,7 +303,7 @@ def _junk_state(b, serial):
     ],
     ids=["honest", "junk-basis-state", "invalid-serial"],
 )
-def test_verify_is_verify_post_without_the_transform_back(case, accepts, transforms, monkeypatch):
+def test_verify_is_the_reference_circuit_without_the_transforms(case, accepts, transforms, monkeypatch):
     wht = qsim.walsh_hadamard_raw
     runs = []
     for boolean in (True, False):
@@ -313,7 +313,7 @@ def test_verify_is_verify_post_without_the_transform_back(case, accepts, transfo
         serial, state = case(b, scheme.bank(rng))
         calls = []
         monkeypatch.setattr(qsim, "walsh_hadamard_raw", lambda a: calls.append(1) or wht(a))
-        ok = scheme.verify(serial, state, rng) if boolean else scheme.verify_post(serial, state, rng)[0]
+        ok = scheme.verify(serial, state, rng) if boolean else dense_reference.verify_circuit(b, serial, state, rng)[0]
         monkeypatch.undo()
         queries = (b.g_queries, b.h_queries, b.primal_queries, b.dual_queries)
         runs.append((ok, rng.bit_generator.state, queries, len(calls)))
@@ -367,10 +367,10 @@ def test_boolean_verify_matches_the_full_circuit(n, seeds):
         for kind in _DIFFERENTIAL_KINDS:
             serial, state = _differential_state(kind, b, note, np.random.default_rng([seed, 2]))
             runs = []
-            for back in (True, False):
+            for verify in (lambda *a: dense_reference.verify_circuit(*a)[0], hsmini.verify_circuit):
                 rng = np.random.default_rng([seed, 3])
                 before = (b.primal_queries, b.dual_queries)
-                ok, post = hsmini.verify_circuit(b, serial, state, rng, transform_back=back)
+                ok = verify(b, serial, state, rng)
                 queries = (b.primal_queries - before[0], b.dual_queries - before[1])
                 runs.append((ok, rng.bit_generator.state, queries))
             assert runs[0] == runs[1], (seed, kind)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from hsmoney import experiments, f2lin, hsmini, money, qsim
+from hsmoney import experiments, f2lin, hsmini, money, polyhide, qsim
 from hsmoney.money import (
     ArtificiallyNoisyScheme,
     ComposedScheme,
@@ -300,11 +300,16 @@ def test_wrapped_verify_runs_the_inner_boolean_verifier(scheme, monkeypatch):
 
 
 def _unmeasured_reject(m, verify, states, rng):
-    # rejects `states` as given, with no draw and no oracle query
+    # rejects with no draw and no oracle query; a verifier that returns a
+    # post state returns `states` as given
     queries = m.bundle.subspace_queries
     draws = rng.bit_generator.state
-    ok, post = verify(states)
-    assert ok is False and post is states
+    out = verify(states)
+    if type(out) is bool:
+        assert out is False
+    else:
+        ok, post = out
+        assert ok is False and post is states
     assert m.bundle.subspace_queries == queries
     assert rng.bit_generator.state == draws
 
@@ -315,7 +320,7 @@ def _wrapped(m, rng, extra_reject=None):
     return wrapper, wrapper.bank(rng)
 
 
-def test_wrapped_verify_post_leaves_a_note_with_a_bad_signature_unmeasured(scheme):
+def test_wrapped_verify_leaves_a_note_with_a_bad_signature_unmeasured(scheme):
     # such a note has no target, so the double verifier rejects it unmeasured too
     m, rng = scheme
     wrapper, note = _wrapped(m, rng)
@@ -324,7 +329,7 @@ def test_wrapped_verify_post_leaves_a_note_with_a_bad_signature_unmeasured(schem
     malformed = WrappedAsMini._pack([pk, inner, sig[:-1]])
     assert verify2(wrapper, note.serial, (note.state, note.state), rng)
     for serial in (wrong, malformed):
-        _unmeasured_reject(m, lambda s: wrapper.verify_post(serial, s, rng), note.state, rng)
+        _unmeasured_reject(m, lambda s: wrapper.verify(serial, s, rng), note.state, rng)
         for states in ((note.state, note.state), note.state.tensor(note.state)):
             _unmeasured_reject(m, lambda s: verify2_post(wrapper, serial, s, rng), states, rng)
         assert wrapper.target_state(serial) is None
@@ -362,8 +367,7 @@ def test_a_malformed_wrapped_serial_is_rejected_not_raised(scheme):
     m, rng = scheme
     wrapper, note = _wrapped(m, rng)
     for serial in (b"", bytes(6), note.serial + bytes(4), note.serial[:-1]):
-        assert not wrapper.verify(serial, note.state, rng)
-        _unmeasured_reject(m, lambda s: wrapper.verify_post(serial, s, rng), note.state, rng)
+        _unmeasured_reject(m, lambda s: wrapper.verify(serial, s, rng), note.state, rng)
         _unmeasured_reject(m, lambda s: verify2_post(wrapper, serial, s, rng), (note.state, note.state), rng)
         assert wrapper.target_state(serial) is None
         assert WrappedAsMini._unpack(serial) is None
@@ -693,3 +697,60 @@ def test_reduction_notes_build_their_stacked_targets_once(monkeypatch):
     assert len(builds) == 1 + 200
     assert len({serials for serials, _ in builds}) == 201
     assert all(nbytes == 60 * (1 << 8) * 16 for _, nbytes in builds)
+
+
+def _on_an_hs_note(verify):
+    """The verdicts of verify(m, serial, state, rng) on an honest note of the
+    bundle scheme m and on a basis state off the note's subspace."""
+    def verdicts(m, rng):
+        note = m.bank(rng)
+        return [verify(m, note.serial, s, rng) for s in (note.state, _orthogonal_junk(m, note))]
+    return verdicts
+
+
+def _two_basis(m, serial, state, rng):
+    sub = m.bundle.lookup(serial).subspace
+    primal, dual = (qsim.Projector.from_mask(m.n, qsim.subspace_mask(a)) for a in (sub, sub.dual()))
+    return qsim.verify_two_basis(primal, dual, state, rng)
+
+
+def _composed(m, serial, state, rng):
+    s = ComposedScheme(m, LamportMerkleSigner(tree_height=2))
+    sk, pk = s.keygen(rng)
+    return s.verify(pk, MoneyNote(serial, s.signer.sign(sk, serial), state), rng)
+
+
+def _wrapped_as_mini(m, serial, state, rng):
+    s = ComposedScheme(m, LamportMerkleSigner(tree_height=2))
+    sk, pk = s.keygen(rng)
+    return WrappedAsMini(s).verify(WrappedAsMini._pack([pk, serial, s.signer.sign(sk, serial)]), state, rng)
+
+
+def _explicit_verdicts(m, rng):
+    note, secret = polyhide.bank_explicit_with_secret(8, 4, 0.25, 12.0, rng)
+    junk = StateVector.basis(8, next(x for x in range(1, 256) if not secret.contains(x)))
+    return [polyhide.verify_explicit(polyhide.ExplicitNote(note.primal_system, note.dual_system, st), rng)
+            for st in (note.state, junk)]
+
+
+@pytest.mark.parametrize(
+    "verdicts",
+    [
+        _on_an_hs_note(_two_basis),
+        _on_an_hs_note(lambda m, *args: hsmini.verify_circuit(m.bundle, *args)),
+        _on_an_hs_note(hsmini.HsMiniScheme.verify),
+        _on_an_hs_note(money.MiniScheme.verify),
+        _on_an_hs_note(lambda m, *args: ArtificiallyNoisyScheme(m, extra_reject=0.0).verify(*args)),
+        _on_an_hs_note(_composed),
+        _on_an_hs_note(_wrapped_as_mini),
+        _explicit_verdicts,
+    ],
+    ids=["verify_two_basis", "verify_circuit", "HsMiniScheme.verify", "MiniScheme.verify",
+         "ArtificiallyNoisyScheme.verify", "ComposedScheme.verify", "WrappedAsMini.verify", "verify_explicit"],
+)
+def test_each_verifier_returns_a_bool(scheme, verdicts):
+    # a leftover (ok, post) tuple is truthy whatever the verdict
+    m, rng = scheme
+    honest, junk = verdicts(m, rng)
+    assert type(honest) is bool and type(junk) is bool
+    assert (honest, junk) == (True, False)

@@ -299,7 +299,7 @@ def test_zset_variant_high_noise():
     for _ in range(trials):
         a = f2lin.random_subspace(n, 6, rng)
         sys = sample_noisy_system(a, 4, math.ceil(beta * n), eps, rng)
-        sub = zset_subspace(sys, variant=True)
+        sub = zset_subspace(sys)  # eps >= 1/3 picks the variant threshold
         hits += sub == a
         accept_a += all(zset_membership_variant(sys, v) for v in list(a.members())[:8])
     assert hits / trials >= 0.95
@@ -365,7 +365,7 @@ def _junk_explicit(note, secret):
     ],
     ids=["honest", "junk-basis-state", "malformed-serial"],
 )
-def test_verify_explicit_is_the_post_verifier_without_the_transform_back(
+def test_verify_explicit_is_the_reference_circuit_without_the_transform_back(
     case, accepts, transforms, monkeypatch
 ):
     wht = qsim.walsh_hadamard_raw
@@ -376,7 +376,7 @@ def test_verify_explicit_is_the_post_verifier_without_the_transform_back(
         note = case(note, secret)
         calls = []
         monkeypatch.setattr(qsim, "walsh_hadamard_raw", lambda a: calls.append(1) or wht(a))
-        ok = verify_explicit(note, rng) if boolean else polyhide.verify_explicit_post(note, rng)[0]
+        ok = verify_explicit(note, rng) if boolean else dense_reference.verify_explicit(note, rng)[0]
         monkeypatch.undo()
         runs.append((ok, rng.bit_generator.state, len(calls)))
     assert runs[0][0] == runs[1][0] == accepts
@@ -439,10 +439,11 @@ def test_serialization_roundtrip():
 @pytest.mark.parametrize(
     "key, value",
     [("eps", "inf"), ("eps", "-inf"), ("eps", "1e308"), ("eps", "nan"), ("eps", "1.0"), ("eps", "-0.1"),
-     ("d", "-3"), ("d", "0"), ("d", "25"), ("d", "100000000000000000000")],
+     ("d", "-3"), ("d", "0"), ("d", "25"), ("d", "100000000000000000000"), ("m", "0")],
 )
 def test_deserialize_refuses_header_values_no_mint_gives(key, value):
-    # eps in [0, 1) as sample_noisy_system mints it; d in [1, F2_DIM_CAP] as the catalog bounds it
+    # eps in [0, 1) as sample_noisy_system mints it; d in [1, F2_DIM_CAP] as the catalog bounds it;
+    # m >= 1 as ceil(beta n) is for beta > 0
     head = {"n": "4", "d": "2", "m": "1", "eps": "0.25", key: value}
     text = " ".join(f"{k}={v}" for k, v in head.items()) + "\n-\n"
     with pytest.raises(ValueError, match=f"{key}="):
