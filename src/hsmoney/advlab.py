@@ -31,7 +31,9 @@ from .qsim import (
     hadamard_all,
     measure_projector,
     oracle_for_dual_pair,
+    sqnorm,
     subspace_state,
+    vdot,
     walsh_hadamard_raw,
 )
 from .search import (
@@ -250,52 +252,54 @@ def _orthogonal_partner(target: StateVector) -> StateVector:
     e = np.zeros_like(amps)
     e[j] = 1.0
     w = e - np.conj(amps[j]) * amps
-    return StateVector(target.n_qubits, w / np.linalg.norm(w))
+    return StateVector(target.n_qubits, w / math.sqrt(sqnorm(w)))
 
 
 class Counterfeiter(CountedOracle):
     """Unitary on the doubled register sending |target>|0> exactly to `dst`.
 
-    Acts as a 2x2 rotation on the span of the two vectors and as the
-    identity on its orthogonal complement, so applications cost O(dim).
-    `apply` takes an n-qubit note, pads the blank second register and
-    charges one query.
+    Acts as a 2x2 rotation on the span of u1 = |target>|0> and the part u2
+    of `dst` orthogonal to u1, and as the identity on their orthogonal
+    complement, so applications cost O(dim). `apply` takes an n-qubit note
+    and charges one query. |note>|0> and u1 are zero above the note's 2^n
+    amplitudes, so their inner products are sums over those 2^n entries and
+    the output is the rotated u2 part plus the note's rotated remainder in
+    the first 2^n entries.
     """
 
     def __init__(self, target: StateVector, dst: StateVector):
         super().__init__()
         self.n_qubits = target.n_qubits
-        a = self._pad(target)
-        t = complex(np.vdot(a, dst.amps))
-        w = dst.amps - t * a
-        s = float(np.linalg.norm(w))
-        self._u1 = a
+        self._t = target.amps
+        k = len(self._t)
+        t = vdot(self._t, dst.amps[:k])
+        w = dst.amps.copy()
+        w[:k] -= t * self._t
+        s = math.sqrt(sqnorm(w))
         if s < 1e-12:
             # destination is a phase multiple of the source
             self._u2 = None
             self._v = np.array([[t, 0.0], [0.0, np.conj(t)]], dtype=np.complex128)
         else:
-            self._u2 = w / s
+            w /= s
+            self._u2 = w
             self._v = np.array([[t, -s], [s, np.conj(t)]], dtype=np.complex128)
-
-    def _pad(self, note: StateVector) -> np.ndarray:
-        """The amplitudes of |note>|0>."""
-        if note.n_qubits != self.n_qubits:
-            raise ValueError("note and counterfeiter sizes differ")
-        amps = np.zeros(1 << (2 * self.n_qubits), dtype=np.complex128)
-        amps[: len(note.amps)] = note.amps
-        return amps
 
     def apply(self, note: StateVector) -> StateVector:
         self.charge()
-        amps = self._pad(note)
-        c1 = np.vdot(self._u1, amps)
-        c2 = np.vdot(self._u2, amps) if self._u2 is not None else 0.0
+        if note.n_qubits != self.n_qubits:
+            raise ValueError("note and counterfeiter sizes differ")
+        x = note.amps
+        k = len(x)
+        c1 = vdot(self._t, x)
+        c2 = vdot(self._u2[:k], x) if self._u2 is not None else 0.0
         d1 = self._v[0, 0] * c1 + self._v[0, 1] * c2
         d2 = self._v[1, 0] * c1 + self._v[1, 1] * c2
-        out = amps - c1 * self._u1 + d1 * self._u1
-        if self._u2 is not None:
-            out = out - c2 * self._u2 + d2 * self._u2
+        if self._u2 is None:
+            out = np.zeros(k * k, dtype=np.complex128)
+        else:
+            out = (d2 - c2) * self._u2
+        out[:k] += x + (d1 - c1) * self._t
         return StateVector._wrap(2 * self.n_qubits, out)
 
 
@@ -309,7 +313,7 @@ class PlantedCloner(Counterfeiter):
         cos_g = math.sqrt(pass2)  # amplitude of the clean copy in the second register
         junk = _orthogonal_partner(target)
         second = cos_g * target.amps + math.sqrt(1 - cos_g ** 2) * junk.amps
-        dst = target.tensor(StateVector(target.n_qubits, second / np.linalg.norm(second)))
+        dst = target.tensor(StateVector(target.n_qubits, second / math.sqrt(sqnorm(second))))
         super().__init__(target, dst)
 
 

@@ -317,7 +317,10 @@ class PolySystem:
                             raise ValueError(f"bad monomial token {tok!r}")
                         mask |= 1 << int(tok[1:])
                     coeffs[i, mask] ^= 1
-        return cls(n, d, eps, coeffs)
+        system = cls(n, d, eps, coeffs)
+        if system.is_degenerate():  # its zero set is all of F_2^n, so every state would verify
+            raise ValueError(f"all m={m} polynomials are zero")
+        return system
 
 
 def table_fits(m: int, n: int) -> bool:

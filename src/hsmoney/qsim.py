@@ -13,6 +13,7 @@ an existing state (`_wrap`) keep its count and skip the check.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -40,10 +41,10 @@ class StateVector:
         if amps.shape != (1 << n_qubits,):
             raise ValueError(f"expected {1 << n_qubits} amplitudes, got {amps.shape}")
         if not _checked:
-            norm = np.linalg.norm(amps)
+            amps = amps.copy()
+            norm = math.sqrt(sqnorm(amps))
             if abs(norm - 1.0) > config.ATOL:
                 raise ValueError(f"state norm {norm} deviates from 1 beyond {config.ATOL}")
-            amps = amps.copy()
         amps.setflags(write=False)
         self.n_qubits = n_qubits
         self.amps = amps
@@ -70,7 +71,7 @@ class StateVector:
     def inner(self, other: "StateVector") -> complex:
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit counts differ")
-        return complex(np.vdot(self.amps, other.amps))
+        return vdot(self.amps, other.amps)
 
     def overlap(self, other: "StateVector") -> float:
         return abs(self.inner(other))
@@ -82,7 +83,7 @@ class StateVector:
         return StateVector._wrap(self.n_qubits + other.n_qubits, joint)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return math.sqrt(sqnorm(self.amps))
 
     def dump(self) -> str:
         """Header `n=<qubits>`, then `index real imag` per amplitude above 1e-12."""
@@ -180,16 +181,22 @@ def hadamard_all(s: StateVector) -> StateVector:
 
 
 # Reductions over amplitudes in numpy's own loops: BLAS's dot on a 2^16-long
-# vector wakes a second OpenBLAS thread, which then busy-waits.
+# vector wakes a second OpenBLAS thread, which then busy-waits. The callers:
+# here `StateVector`'s constructor check, `inner` and `norm`,
+# `Projector.project`, `ReflectAboutState.apply`, `measure_projector`,
+# `measure_register` (whose register contraction is an einsum too),
+# `postselect_projector`, `fidelity_to_goal` and `haar_random_state`;
+# `search._Plane`; and advlab's `_orthogonal_partner`, `Counterfeiter` and
+# `PlantedCloner`.
 
 
-def _sqnorm(amps: np.ndarray) -> float:
+def sqnorm(amps: np.ndarray) -> float:
     """Squared 2-norm of a contiguous complex array."""
     v = amps.view(np.float64)
     return float(np.einsum("i,i->", v, v))
 
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+def vdot(a: np.ndarray, b: np.ndarray) -> complex:
     """<a|b>, conjugating a, as `np.vdot` does."""
     return complex(np.einsum("i,i->", a.conj(), b))
 
@@ -261,7 +268,7 @@ class ReflectAboutState(CountedOracle):
 
     def apply(self, s: StateVector) -> StateVector:
         self.charge()
-        c = np.vdot(self.target.amps, s.amps)
+        c = vdot(self.target.amps, s.amps)
         return StateVector._wrap(s.n_qubits, s.amps - 2.0 * c * self.target.amps)
 
 
@@ -303,7 +310,7 @@ class Projector:
         if self.mask is not None:
             return np.where(self.mask, amps, 0.0)
         t = self.target.amps
-        return _vdot(t, amps) * t
+        return vdot(t, amps) * t
 
 
 def measure_projector(
@@ -315,14 +322,14 @@ def measure_projector(
     if p.charge_to is not None:
         p.charge_to.charge()
     kept = p.project(s.amps)
-    prob = min(max(_sqnorm(kept), 0.0), 1.0)
+    prob = min(max(sqnorm(kept), 0.0), 1.0)
     accepted = rng.random() < prob
     if not keep_post:
         return accepted, None, prob
     if accepted:
         return True, StateVector._wrap(s.n_qubits, _scaled(kept, 1.0 / np.sqrt(prob))), prob
     rest = s.amps - kept
-    rnorm = np.sqrt(_sqnorm(rest))
+    rnorm = np.sqrt(sqnorm(rest))
     if rnorm < 1e-15:
         raise ValueError("zero-probability branch requested deterministically")
     return False, StateVector._wrap(s.n_qubits, _scaled(rest, 1.0 / rnorm)), prob
@@ -351,10 +358,10 @@ def measure_register(
     after the same draw."""
     t = target.amps
     if top:
-        c = t.conj() @ joint.reshape(len(t), -1)
+        c = np.einsum("i,ij->j", t.conj(), joint.reshape(len(t), -1))
     else:
-        c = joint.reshape(-1, len(t)) @ t.conj()
-    prob = min(max(float(np.vdot(c, c).real), 0.0), 1.0)
+        c = np.einsum("ij,j->i", joint.reshape(-1, len(t)), t.conj())
+    prob = min(max(sqnorm(c), 0.0), 1.0)
     accepted = rng.random() < prob
     if not keep_post:
         return accepted, None
@@ -362,7 +369,7 @@ def measure_register(
         cn = c / np.sqrt(prob)
         return True, (np.outer(t, cn) if top else np.outer(cn, t)).reshape(-1)
     rest = joint - (np.outer(t, c) if top else np.outer(c, t)).reshape(-1)
-    rnorm = np.linalg.norm(rest)
+    rnorm = math.sqrt(sqnorm(rest))
     if rnorm < 1e-15:
         raise ValueError("zero-probability branch requested deterministically")
     return False, rest / rnorm
@@ -373,9 +380,9 @@ def postselect_projector(p: Projector, s: StateVector, outcome: bool) -> Tuple[S
     if p.charge_to is not None:
         p.charge_to.charge()
     kept = p.project(s.amps)
-    prob = float(np.vdot(kept, kept).real)
+    prob = sqnorm(kept)
     branch = kept if outcome else s.amps - kept
-    bnorm = np.linalg.norm(branch)
+    bnorm = math.sqrt(sqnorm(branch))
     if bnorm < 1e-12:
         raise ValueError("zero-probability branch requested deterministically")
     return StateVector._wrap(s.n_qubits, branch / bnorm), prob if outcome else 1.0 - prob
@@ -384,7 +391,7 @@ def postselect_projector(p: Projector, s: StateVector, outcome: bool) -> Tuple[S
 def fidelity_to_goal(s: StateVector, goal: Projector) -> float:
     """F(|s>, G) = ||P_G s|| for a goal subspace given as a projector."""
     kept = goal.project(s.amps)
-    return float(np.linalg.norm(kept))
+    return math.sqrt(sqnorm(kept))
 
 
 def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
@@ -392,5 +399,5 @@ def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     check_qubits(n)
     dim = 1 << n
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector._wrap(n, v / np.linalg.norm(v))
+    return StateVector._wrap(n, v / math.sqrt(sqnorm(v)))
 

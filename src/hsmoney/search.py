@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import config
-from .qsim import CountedOracle, PhaseOracle, Projector, StateVector, measure_projector
+from .qsim import CountedOracle, PhaseOracle, Projector, StateVector, measure_projector, sqnorm
 
 
 @dataclass
@@ -105,8 +105,8 @@ class _Plane:
         self.n_qubits = start.n_qubits
         self.kept = goal.project(start.amps)
         self.rest = start.amps - self.kept
-        self.a = float(np.linalg.norm(self.kept))
-        self.b = float(np.linalg.norm(self.rest))
+        self.a = math.sqrt(sqnorm(self.kept))
+        self.b = math.sqrt(sqnorm(self.rest))
 
     def state(self, alpha: float, beta: float) -> StateVector:
         """alpha g + beta r; a part of zero norm is all zeros and adds nothing."""

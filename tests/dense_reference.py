@@ -26,6 +26,10 @@ transform, project, transform, and returns its post state;
 the last transform and the dual post state, and
 `hsmoney.hsmini.verify_circuit` makes its dual query on A's span as a rank-1
 measurement with no transform. All return only the verdict.
+The counterfeiter here pads the note with a blank second register and
+rotates all 2^(2n) amplitudes; `hsmoney.advlab.Counterfeiter` takes its
+inner products over the note's 2^n amplitudes and adds the rotated note into
+the first 2^n entries of its output.
 """
 
 import math
@@ -36,7 +40,7 @@ import numpy as np
 
 from hsmoney.f2lin import LinMap, Subspace, rref
 from hsmoney.polyhide import _systems_well_formed, xor_mobius_inplace, zset_mask
-from hsmoney.qsim import Projector, StateVector, hadamard_all, measure_projector
+from hsmoney.qsim import CountedOracle, Projector, StateVector, hadamard_all, measure_projector
 from hsmoney.search import SearchProblem
 
 
@@ -213,3 +217,43 @@ def verify_explicit(note, rng: np.random.Generator) -> Tuple[bool, StateVector]:
     n = primal.n_vars
     p_z = Projector.from_mask(n, zset_mask(primal))
     return verify_two_basis(p_z, Projector.from_mask(n, zset_mask(dual)), note.state, rng)
+
+
+class Counterfeiter(CountedOracle):
+    """The two-point unitary sending |target>|0> to `dst`, on padded
+    2^(2n)-amplitude vectors: a 2x2 rotation on the span of u1 = |target>|0>
+    and the part of `dst` orthogonal to it, one query per `apply`."""
+
+    def __init__(self, target: StateVector, dst: StateVector):
+        super().__init__()
+        self.n_qubits = target.n_qubits
+        a = self._pad(target)
+        t = complex(np.vdot(a, dst.amps))
+        w = dst.amps - t * a
+        s = float(np.linalg.norm(w))
+        self._u1 = a
+        if s < 1e-12:
+            self._u2 = None
+            self._v = np.array([[t, 0.0], [0.0, np.conj(t)]], dtype=np.complex128)
+        else:
+            self._u2 = w / s
+            self._v = np.array([[t, -s], [s, np.conj(t)]], dtype=np.complex128)
+
+    def _pad(self, note: StateVector) -> np.ndarray:
+        if note.n_qubits != self.n_qubits:
+            raise ValueError("note and counterfeiter sizes differ")
+        amps = np.zeros(1 << (2 * self.n_qubits), dtype=np.complex128)
+        amps[: len(note.amps)] = note.amps
+        return amps
+
+    def apply(self, note: StateVector) -> StateVector:
+        self.charge()
+        amps = self._pad(note)
+        c1 = np.vdot(self._u1, amps)
+        c2 = np.vdot(self._u2, amps) if self._u2 is not None else 0.0
+        d1 = self._v[0, 0] * c1 + self._v[0, 1] * c2
+        d2 = self._v[1, 0] * c1 + self._v[1, 1] * c2
+        out = amps - c1 * self._u1 + d1 * self._u1
+        if self._u2 is not None:
+            out = out - c2 * self._u2 + d2 * self._u2
+        return StateVector._wrap(2 * self.n_qubits, out)

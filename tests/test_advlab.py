@@ -6,7 +6,8 @@ import statistics
 import numpy as np
 import pytest
 
-from hsmoney import config, f2lin, hsmini, money
+import dense_reference
+from hsmoney import config, experiments, f2lin, hsmini, money
 from hsmoney.advlab import (
     Counterfeiter,
     HaarPairRelation,
@@ -20,6 +21,7 @@ from hsmoney.advlab import (
     clone_by_search,
     default_probes,
     kcopy_run,
+    _orthogonal_partner,
     track_progress,
 )
 from hsmoney.qsim import StateVector, haar_random_state, subspace_state
@@ -44,6 +46,60 @@ def test_two_point_unitary_maps_and_preserves():
         assert c.query_count == 4
     with pytest.raises(ValueError, match="sizes differ"):
         c.apply(haar_random_state(3, rng))
+
+
+def _blank_padded(s: StateVector, phase: complex = 1.0) -> StateVector:
+    # phase |s>|0> on the doubled register
+    amps = np.zeros(1 << (2 * s.n_qubits), dtype=np.complex128)
+    amps[: len(s.amps)] = phase * s.amps
+    return StateVector(2 * s.n_qubits, amps)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_register_sized_counterfeiter_matches_padded_rotation(n):
+    # the rotation on the note's 2^n amplitudes against the padded 2^(2n) one,
+    # on a money state (whose partner is a basis state) and on a Haar state
+    rng = np.random.default_rng(160 + n)
+    for target in (subspace_state(f2lin.random_subspace(n, n // 2, rng)), haar_random_state(n, rng)):
+        junk = _orthogonal_partner(target)
+        pass2 = float(rng.random())
+        second = math.sqrt(pass2) * target.amps + math.sqrt(1 - pass2) * junk.amps
+        phase = _blank_padded(target, np.exp(2j * math.pi * rng.random()))
+        cases = [
+            (PlantedCloner(target, pass2), target.tensor(StateVector(n, second / np.linalg.norm(second)))),
+            (JunkEmitter(target), junk.tensor(junk)),
+            (Counterfeiter(target, phase), phase),
+        ]
+        assert cases[2][0]._u2 is None  # the phase-multiple branch
+        for fast, dst in cases:
+            slow = dense_reference.Counterfeiter(target, dst)
+            notes = [target, junk, haar_random_state(n, rng), haar_random_state(n, rng)]
+            for note in notes:
+                got, want = fast.apply(note), slow.apply(note)
+                assert got.n_qubits == want.n_qubits == 2 * n
+                assert np.max(np.abs(got.amps - want.amps)) < 1e-12
+            assert fast.query_count == slow.query_count == len(notes)
+
+
+@pytest.mark.parametrize("eps, delta", [(0.2, 0.05), (0.01, 0.5)], ids=["fixed-point", "hybrid"])
+def test_amplify_trial_makes_no_blas_vector_call(monkeypatch, eps, delta):
+    # np.vdot and np.linalg.norm on a long vector wake OpenBLAS's threads; an
+    # amplification trial at n=8 (2^16 amplitudes) must make neither call
+    cfg = experiments.configure(experiments.ExperimentConfig("amplify-counterfeiter", n=8, eps=eps, delta=delta))
+    want = experiments.trial_amplify(cfg, 0, np.random.default_rng(170))
+
+    def guarded(fn):
+        def call(*args, **kwargs):
+            if max(np.size(a) for a in args) >= 1 << 14:
+                raise AssertionError(f"{fn.__name__} on {max(np.size(a) for a in args)} elements")
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "vdot", guarded(np.vdot))
+    monkeypatch.setattr(np.linalg, "norm", guarded(np.linalg.norm))
+    with pytest.raises(AssertionError, match="vdot"):
+        np.vdot(np.zeros(1 << 14), np.zeros(1 << 14))
+    assert experiments.trial_amplify(cfg, 0, np.random.default_rng(170)) == want
 
 
 def test_relation_sampling_properties():

@@ -192,18 +192,18 @@ def test_verify_explicit_rejects_malformed_note(tmp_path, capsys, suffix, text):
 
 
 @pytest.mark.parametrize(
-    "field", ["eps=inf", "eps=-inf", "eps=1e308", "eps=nan", "d=-3", "d=100000000000000000000", "m=0"]
+    "field", ["eps=inf", "eps=-inf", "eps=1e308", "eps=nan", "d=-3", "d=100000000000000000000", "m=0", "m=1", "m=3"]
 )
 def test_verify_explicit_refuses_out_of_range_header(tmp_path, capsys, field):
     # both systems carry the value, so the pair is otherwise well formed;
-    # m=0 keeps no row, so the row count matches the header
+    # an m field keeps m all-zero rows, so the row count matches the header
     prefix = str(tmp_path / "note")
     assert main(["mint-explicit", "--n", "6", "--seed", "5", "--out", prefix]) == EXIT_OK
     key = field.split("=")[0]
     for suffix in (".primal", ".dual"):
         path = tmp_path / ("note" + suffix)
         head, rest = path.read_text().split("\n", 1)
-        path.write_text(re.sub(rf"\b{key}=\S+", field, head) + "\n" + ("" if field == "m=0" else rest))
+        path.write_text(re.sub(rf"\b{key}=\S+", field, head) + "\n" + ("-\n" * int(field[2:]) if key == "m" else rest))
     capsys.readouterr()
     assert main(["verify-explicit", "--note", prefix]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()

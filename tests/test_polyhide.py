@@ -439,13 +439,15 @@ def test_serialization_roundtrip():
 @pytest.mark.parametrize(
     "key, value",
     [("eps", "inf"), ("eps", "-inf"), ("eps", "1e308"), ("eps", "nan"), ("eps", "1.0"), ("eps", "-0.1"),
-     ("d", "-3"), ("d", "0"), ("d", "25"), ("d", "100000000000000000000"), ("m", "0")],
+     ("d", "-3"), ("d", "0"), ("d", "25"), ("d", "100000000000000000000"), ("m", "0"), ("m", "1"), ("m", "3")],
 )
 def test_deserialize_refuses_header_values_no_mint_gives(key, value):
     # eps in [0, 1) as sample_noisy_system mints it; d in [1, F2_DIM_CAP] as the catalog bounds it;
-    # m >= 1 as ceil(beta n) is for beta > 0
+    # m >= 1 as ceil(beta n) is for beta > 0; and m rows that are all zero, which a mint gives only
+    # with negligible probability
     head = {"n": "4", "d": "2", "m": "1", "eps": "0.25", key: value}
-    text = " ".join(f"{k}={v}" for k, v in head.items()) + "\n-\n"
+    rows = int(value) if key == "m" else 1
+    text = " ".join(f"{k}={v}" for k, v in head.items()) + "\n" + "-\n" * rows
     with pytest.raises(ValueError, match=f"{key}="):
         PolySystem.deserialize(text)
 
