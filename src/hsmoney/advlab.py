@@ -411,7 +411,7 @@ def clone_by_search(
     and each final check charges one more.
     """
     n = target.n_qubits
-    oracle = ReflectAboutState(target, "U_target")
+    oracle = CountedOracle("U_target")
     uniform = StateVector.uniform(n)
     if overlap_guess is None:
         overlap_guess = 2.0 ** (-n / 2)

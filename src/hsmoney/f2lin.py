@@ -97,10 +97,6 @@ class Subspace:
     def zero(cls, n: int) -> "Subspace":
         return cls(n, ())
 
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, tuple(1 << i for i in range(n)))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -148,22 +144,6 @@ class Subspace:
         lines = [f"n={self.n} dim={self.dim}"]
         lines += [vec_to_str(r, self.n) for r in self.basis]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "Subspace":
-        lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
-        header = lines[0].split()
-        if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("dim="):
-            raise ValueError(f"bad subspace header {lines[0]!r}")
-        n = int(header[0][2:])
-        dim = int(header[1][4:])
-        rows = [str_to_vec(ln.strip()) for ln in lines[1:]]
-        if len(rows) != dim:
-            raise ValueError(f"header claims dim={dim} but {len(rows)} rows follow")
-        sub = cls.from_rows(rows, n)
-        if sub.dim != dim:
-            raise ValueError("serialized rows are not linearly independent")
-        return sub
 
 
 def random_subspace(n: int, dim: int, rng: np.random.Generator) -> Subspace:

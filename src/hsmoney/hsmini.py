@@ -3,19 +3,23 @@
 The oracle bundle holds a banknote generator G (r -> serial, subspace), a
 serial checker H, and serial-indexed primal/dual subspace testers. G is
 materialized lazily and memoized per r; serial collisions are resampled so
-serials stay pairwise distinct. Verification returns the verdict of the
-four-step circuit project / transform / project / transform, charging
-exactly one primal and one dual oracle query. It makes its dual query on A's
-span: after the primal projection the state lies in the span of A's members,
-where the transformed dual test is the rank-1 projector onto the money
-state, so it runs no transform.
+serials stay pairwise distinct. The bundle counts queries to each of the four
+parts: `g_queries` and `h_queries` for G and H, and one `CountedOracle` per
+tester, labelled `T_primal` and `T_dual`, shared by all serials.
+Verification returns the verdict of the four-step circuit project /
+transform / project / transform, charging exactly one primal and one dual
+tester query. It makes its dual query on A's span: after the primal
+projection the state lies in the span of A's members, where the transformed
+dual test is the rank-1 projector onto the money state, so it runs no
+transform and builds no A_perp.
 
 Each bundle entry memoises its subspace's member indices: 2^(n/2) read-only
 int64 values (128 B at n=8, 2 KiB at n=16), filled by the first `bank` or
 `HsMiniScheme.target_state` call for the serial. Re-minting a serial and
 repeated verifications of it, as in threshold repetition over a composite
 note, then build the money state from the memo without enumerating the
-subspace again. Dense states are not memoised.
+subspace again. Dense states and tester masks are not memoised: each
+verification builds the serial's 2^n primal mask and drops it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from . import config
 from .f2lin import LinMap, Subspace, image, random_invertible, random_subspace, str_to_vec, vec_to_str
 from .money import Banknote, MiniScheme
 from .qsim import (
+    CountedOracle,
     PhaseOracle,
     Projector,
     StateVector,
@@ -85,10 +90,10 @@ class OracleBundle:
         self._rng = rng
         self._by_r: Dict[int, BundleEntry] = {}
         self._by_serial: Dict[bytes, BundleEntry] = {}
-        self._primal: Dict[bytes, PhaseOracle] = {}
-        self._dual: Dict[bytes, PhaseOracle] = {}
         self.g_queries = 0
         self.h_queries = 0
+        self.primal_tester = CountedOracle("T_primal")
+        self.dual_tester = CountedOracle("T_dual")
 
     def generator(self, r: int) -> Tuple[bytes, Subspace]:
         """G(r): independent uniform (serial, dim-n/2 subspace) per fresh r."""
@@ -117,36 +122,9 @@ class OracleBundle:
     def lookup(self, serial: bytes) -> Optional[BundleEntry]:
         return self._by_serial.get(serial)
 
-    def primal_oracle(self, serial: bytes) -> PhaseOracle:
-        """Phase oracle for the serial's subspace; identity on invalid serials."""
-        return self._oracle(self._primal, serial, "primal")
-
-    def dual_oracle(self, serial: bytes) -> PhaseOracle:
-        return self._oracle(self._dual, serial, "dual")
-
-    def _oracle(self, cache: Dict[bytes, PhaseOracle], serial: bytes, kind: str) -> PhaseOracle:
-        oracle = cache.get(serial)
-        if oracle is None:
-            entry = self._by_serial.get(serial)
-            if entry is None:
-                oracle = PhaseOracle(self.n, np.zeros(1 << self.n, dtype=np.bool_), f"T_{kind}[invalid]")
-            else:
-                sub = entry.subspace.dual() if kind == "dual" else entry.subspace
-                oracle = PhaseOracle.from_subspace(sub, f"T_{kind}")
-            cache[serial] = oracle
-        return oracle
-
-    @property
-    def primal_queries(self) -> int:
-        return sum(o.query_count for o in self._primal.values())
-
-    @property
-    def dual_queries(self) -> int:
-        return sum(o.query_count for o in self._dual.values())
-
     @property
     def subspace_queries(self) -> int:
-        return self.primal_queries + self.dual_queries
+        return self.primal_tester.query_count + self.dual_tester.query_count
 
     def snapshot(self) -> dict:
         return {
@@ -167,7 +145,10 @@ class OracleBundle:
     def import_json(cls, text: str, rng: np.random.Generator) -> "OracleBundle":
         """Rebuild a bundle from `export_json` text, checking every field;
         a malformed snapshot raises ValueError."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError("bundle snapshot nests too deeply") from None
         if not (isinstance(data, dict) and type(data.get("n")) is int
                 and isinstance(data.get("entries"), dict)):
             raise ValueError("bundle snapshot must be an object with an integer n and an entries object")
@@ -217,8 +198,10 @@ def verify_circuit(bundle: OracleBundle, serial: bytes, state: StateVector, rng:
     """
     if not bundle.check_serial(serial):
         return False
-    ok1, post, _ = measure_projector(Projector.from_oracle(bundle.primal_oracle(serial)), state, rng)
-    on_span = Projector.onto_state(bundle.lookup(serial).money_state(), charge_to=bundle.dual_oracle(serial))
+    entry = bundle.lookup(serial)
+    primal = Projector(bundle.n, mask=subspace_mask(entry.subspace), charge_to=bundle.primal_tester)
+    ok1, post, _ = measure_projector(primal, state, rng)
+    on_span = Projector.onto_state(entry.money_state(), charge_to=bundle.dual_tester)
     ok2, _, _ = measure_projector(on_span, post, rng, keep_post=False)
     return ok1 and ok2
 

@@ -126,10 +126,6 @@ class MultilinearPoly:
     def from_masks(cls, n_vars: int, d: int, masks) -> "MultilinearPoly":
         return cls(n_vars, d, frozenset(int(m) for m in masks))
 
-    @classmethod
-    def zero(cls, n_vars: int, d: int) -> "MultilinearPoly":
-        return cls(n_vars, d, frozenset())
-
     def eval(self, v: int) -> int:
         if v < 0 or v >> self.n_vars:
             raise ValueError("point does not fit the variable count")
@@ -316,6 +312,8 @@ class PolySystem:
                         if not tok.startswith("x") or not 0 <= int(tok[1:]) < n:
                             raise ValueError(f"bad monomial token {tok!r}")
                         mask |= 1 << int(tok[1:])
+                    if bin(mask).count("1") > d:  # a minted row has degree at most d
+                        raise ValueError(f"monomial {term!r} has degree above d={d}")
                     coeffs[i, mask] ^= 1
         system = cls(n, d, eps, coeffs)
         if system.is_degenerate():  # its zero set is all of F_2^n, so every state would verify

@@ -82,9 +82,6 @@ class StateVector:
         joint = np.kron(other.amps, self.amps)
         return StateVector._wrap(self.n_qubits + other.n_qubits, joint)
 
-    def norm(self) -> float:
-        return math.sqrt(sqnorm(self.amps))
-
     def dump(self) -> str:
         """Header `n=<qubits>`, then `index real imag` per amplitude above 1e-12."""
         lines = [f"n={self.n_qubits}"]
@@ -182,7 +179,7 @@ def hadamard_all(s: StateVector) -> StateVector:
 
 # Reductions over amplitudes in numpy's own loops: BLAS's dot on a 2^16-long
 # vector wakes a second OpenBLAS thread, which then busy-waits. The callers:
-# here `StateVector`'s constructor check, `inner` and `norm`,
+# here `StateVector`'s constructor check and `inner`,
 # `Projector.project`, `ReflectAboutState.apply`, `measure_projector`,
 # `measure_register` (whose register contraction is an einsum too),
 # `postselect_projector`, `fidelity_to_goal` and `haar_random_state`;
@@ -237,10 +234,6 @@ class PhaseOracle(CountedOracle):
         mask = np.zeros(1 << n_qubits, dtype=np.bool_)
         mask[np.asarray(indices, dtype=np.int64)] = True
         return cls(n_qubits, mask, label)
-
-    @classmethod
-    def from_subspace(cls, a: Subspace, label: str = "") -> "PhaseOracle":
-        return cls(a.n, subspace_mask(a), label or f"U_dim{a.dim}")
 
     def apply(self, s: StateVector) -> StateVector:
         """Phase-flip accepted basis states; one query per call."""

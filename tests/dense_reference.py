@@ -40,7 +40,7 @@ import numpy as np
 
 from hsmoney.f2lin import LinMap, Subspace, rref
 from hsmoney.polyhide import _systems_well_formed, xor_mobius_inplace, zset_mask
-from hsmoney.qsim import CountedOracle, Projector, StateVector, hadamard_all, measure_projector
+from hsmoney.qsim import CountedOracle, Projector, StateVector, hadamard_all, measure_projector, subspace_mask
 from hsmoney.search import SearchProblem
 
 
@@ -200,12 +200,15 @@ def verify_two_basis(
 
 def verify_circuit(bundle, serial: bytes, state: StateVector, rng: np.random.Generator) -> Tuple[bool, StateVector]:
     """The serial check of an oracle bundle, then the four-step circuit with
-    the serial's primal and dual oracles; an invalid serial rejects the state
+    projectors onto the serial's subspace and its dual, charged to the
+    bundle's two tester counters; an invalid serial rejects the state
     unmeasured."""
     if not bundle.check_serial(serial):
         return False, state
-    primal = Projector.from_oracle(bundle.primal_oracle(serial))
-    return verify_two_basis(primal, Projector.from_oracle(bundle.dual_oracle(serial)), state, rng)
+    a = bundle.lookup(serial).subspace
+    primal = Projector.from_mask(bundle.n, subspace_mask(a), charge_to=bundle.primal_tester)
+    dual = Projector.from_mask(bundle.n, subspace_mask(a.dual()), charge_to=bundle.dual_tester)
+    return verify_two_basis(primal, dual, state, rng)
 
 
 def verify_explicit(note, rng: np.random.Generator) -> Tuple[bool, StateVector]:

@@ -116,7 +116,11 @@ def test_verify_explicit_missing_file(tmp_path):
 
 def test_attack_d1_command(capsys):
     assert main(["attack-d1", "--n", "12", "--seed", "2"]) == EXIT_OK
-    assert "recovered == planted: True" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "recovered == planted: True"
+    # the recovered subspace as a header and its basis rows
+    assert out[1] == "n=12 dim=6" and len(out) == 8
+    assert all(len(row) == 12 and set(row) <= {"0", "1"} for row in out[2:])
 
 
 def test_wiesner_subcommands(capsys):
@@ -176,6 +180,7 @@ def test_qubit_cap_env_override(monkeypatch):
         (".state", "n=21\n0 1.0 0.0\n"),  # beyond the qubit cap
         (".primal", "n=21 d=4 m=1 eps=0.25\n-\n"),  # beyond the qubit cap
         (".primal", "n=6 d=4 m=1 eps=0.25\nx9\n"),  # variable outside n
+        (".primal", "n=6 d=3 m=1 eps=0.25\nx0.x1.x2.x3.x4.x5\n"),  # monomial above the degree bound
         (".primal", "n=20 d=2 m=32 eps=0.0\n" + "-\n" * 32),  # 32 MiB of coefficients: twice the cap
         (".primal", "n=6 d=4 m=1\n-\n"),  # header without eps
         (".primal", ""),  # no header
@@ -242,6 +247,15 @@ def test_bundle_import_rejects_malformed_snapshot(tmp_path, capsys, mutate):
                  "--out", str(snap)]) == EXIT_OK
     snap.write_text(json.dumps(mutate(json.loads(snap.read_text()))))
     capsys.readouterr()
+    assert main(["bundle", "import", "--snapshot", str(snap)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_bundle_import_refuses_deeply_nested_json(tmp_path, capsys):
+    # the JSON decoder recurses once per nesting level
+    snap = tmp_path / "bundle.json"
+    snap.write_text("[" * 100_000)
     assert main(["bundle", "import", "--snapshot", str(snap)]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

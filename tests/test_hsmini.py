@@ -8,7 +8,7 @@ import pytest
 import dense_reference
 from hsmoney import f2lin, hsmini, qsim
 from hsmoney.f2lin import Subspace
-from hsmoney.qsim import StateVector, subspace_state
+from hsmoney.qsim import PhaseOracle, StateVector, subspace_mask, subspace_state
 
 
 @pytest.fixture
@@ -45,20 +45,19 @@ def test_serial_checker(bundle):
     assert fresh_invalid / trials >= 1 - 2 ** -8
 
 
+def _tester_pair(b, serial):
+    """Phase oracles for the serial's subspace and its dual."""
+    a = b.lookup(serial).subspace
+    return PhaseOracle(b.n, subspace_mask(a), "T_primal"), PhaseOracle(b.n, subspace_mask(a.dual()), "T_dual")
+
+
 def test_primal_oracle_flips_exactly_members(bundle):
     b, rng = bundle
     s, a = b.generator(3)
-    oracle = b.primal_oracle(s)
+    oracle, dual_oracle = _tester_pair(b, s)
     members = set(a.members())
     assert set(np.flatnonzero(oracle.mask)) == members
-    dual_oracle = b.dual_oracle(s)
     assert set(np.flatnonzero(dual_oracle.mask)) == set(a.dual().members())
-
-
-def test_invalid_serial_oracle_is_identity(bundle):
-    b, rng = bundle
-    oracle = b.primal_oracle(b"\x00" * 3)
-    assert not oracle.mask.any()
 
 
 def test_bank_and_verify_honest(bundle):
@@ -88,10 +87,35 @@ def test_verify_charges_two_subspace_queries(bundle):
     assert b.subspace_queries == before + 2
 
 
+def test_verify_builds_no_dual_subspace(monkeypatch):
+    # the dual query is a rank-1 measurement on A's span, charged to the dual
+    # tester's counter; no A_perp is built. The benchmark tracer counts the
+    # queries whose oracle label starts with T_
+    def run(patched):
+        rng = np.random.default_rng(76)
+        scheme = hsmini.HsMiniScheme(hsmini.OracleBundle(8, rng))
+        note = scheme.bank(rng)
+        states = (note.state, _junk_state(scheme.bundle, note.serial))
+        if patched:
+            monkeypatch.setattr(Subspace, "dual", lambda self: pytest.fail("verify built a dual subspace"))
+        steps = [(scheme.verify(note.serial, s, rng), rng.bit_generator.state, scheme.bundle.subspace_queries)
+                 for s in states]
+        monkeypatch.undo()
+        return steps, scheme.bundle
+
+    steps, bundle = run(patched=True)
+    assert steps == run(patched=False)[0]
+    assert [(ok, queries) for ok, _, queries in steps] == [(True, 2), (False, 4)]
+    assert bundle.primal_tester.label.startswith("T_") and bundle.dual_tester.label.startswith("T_")
+
+
 def test_verify_invalid_serial_rejects(bundle):
+    # H rejects the serial before any tester query or draw
     b, rng = bundle
     note = hsmini.bank(b, rng)
+    state = rng.bit_generator.state
     assert not hsmini.verify_circuit(b, b"\xff" * 3, note.state, rng)
+    assert b.subspace_queries == 0 and rng.bit_generator.state == state
 
 
 def test_verify_orthogonal_rejects(bundle):
@@ -145,8 +169,7 @@ def test_randomize_instance_identity_map(bundle):
     b, rng = bundle
     note = hsmini.bank(b, rng)
     a = b.lookup(note.serial).subspace
-    pair = (b.primal_oracle(note.serial), b.dual_oracle(note.serial))
-    inst = hsmini.randomize_instance(a, note.state, pair, rng)
+    inst = hsmini.randomize_instance(a, note.state, _tester_pair(b, note.serial), rng)
     # conjugated primal flips exactly f(A)
     assert set(np.flatnonzero(inst.primal.mask)) == set(inst.subspace.members())
     assert set(np.flatnonzero(inst.dual.mask)) == set(inst.subspace.dual().members())
@@ -161,11 +184,10 @@ def test_randomize_instance_charges_base(bundle):
     b, rng = bundle
     note = hsmini.bank(b, rng)
     a = b.lookup(note.serial).subspace
-    primal = b.primal_oracle(note.serial)
-    inst = hsmini.randomize_instance(a, note.state, (primal, b.dual_oracle(note.serial)), rng)
-    before = primal.query_count
+    pair = _tester_pair(b, note.serial)
+    inst = hsmini.randomize_instance(a, note.state, pair, rng)
     inst.primal.apply(inst.state)
-    assert primal.query_count == before + 1
+    assert pair[0].query_count == 1
 
 
 def test_randomize_verification_statistics_roundtrip(bundle):
@@ -174,8 +196,7 @@ def test_randomize_verification_statistics_roundtrip(bundle):
     b, rng = bundle
     note = hsmini.bank(b, rng)
     a = b.lookup(note.serial).subspace
-    pair = (b.primal_oracle(note.serial), b.dual_oracle(note.serial))
-    inst = hsmini.randomize_instance(a, note.state, pair, rng)
+    inst = hsmini.randomize_instance(a, note.state, _tester_pair(b, note.serial), rng)
     from hsmoney.qsim import Projector, hadamard_all, measure_projector
 
     hits = 0
@@ -315,7 +336,7 @@ def test_verify_is_the_reference_circuit_without_the_transforms(case, accepts, t
         monkeypatch.setattr(qsim, "walsh_hadamard_raw", lambda a: calls.append(1) or wht(a))
         ok = scheme.verify(serial, state, rng) if boolean else dense_reference.verify_circuit(b, serial, state, rng)[0]
         monkeypatch.undo()
-        queries = (b.g_queries, b.h_queries, b.primal_queries, b.dual_queries)
+        queries = (b.g_queries, b.h_queries, b.primal_tester.query_count, b.dual_tester.query_count)
         runs.append((ok, rng.bit_generator.state, queries, len(calls)))
     assert runs[0][0] == runs[1][0] == accepts
     assert runs[0][1:3] == runs[1][1:3]
@@ -369,9 +390,9 @@ def test_boolean_verify_matches_the_full_circuit(n, seeds):
             runs = []
             for verify in (lambda *a: dense_reference.verify_circuit(*a)[0], hsmini.verify_circuit):
                 rng = np.random.default_rng([seed, 3])
-                before = (b.primal_queries, b.dual_queries)
+                before = (b.primal_tester.query_count, b.dual_tester.query_count)
                 ok = verify(b, serial, state, rng)
-                queries = (b.primal_queries - before[0], b.dual_queries - before[1])
+                queries = (b.primal_tester.query_count - before[0], b.dual_tester.query_count - before[1])
                 runs.append((ok, rng.bit_generator.state, queries))
             assert runs[0] == runs[1], (seed, kind)
             assert runs[0][2] == ((0, 0) if kind == "unissued-serial" else (1, 1))

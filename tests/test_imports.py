@@ -59,11 +59,14 @@ def test_no_unused_imports(path):
 
 
 def _definitions(tree: ast.Module):
-    """(name, line) of every function and class, and of every name a
-    module-level assignment binds (constants and aliases)."""
+    """(class, name, line) of every function and class, and of every name a
+    module-level assignment binds (constants and aliases); class names the
+    class a method is defined in, and is None for the rest."""
+    methods = {id(fn): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for fn in node.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield methods.get(id(node)), node.name, node.lineno
     for node in tree.body:
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -74,31 +77,61 @@ def _definitions(tree: ast.Module):
         for target in targets:
             for name in ast.walk(target):
                 if isinstance(name, ast.Name):
-                    yield name.id, name.lineno
+                    yield None, name.id, name.lineno
+
+
+def _imported_names(tree: ast.Module) -> set:
+    """The names a source's imports bind, such as `np`, `math` or `qsim`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
 
 
 def unreferenced_definitions(defining: dict, referencing: list) -> list:
     """Definitions of the `defining` sources ({label: source}; see
-    `_definitions`) whose name appears in none of the `referencing` sources
-    as a name that is read, an attribute, or a part of a dotted-identifier
-    string constant (the tracer binds some methods by name with `getattr`).
-    Binding a name is not a reference to it. Dunder names are used
-    implicitly and do not count."""
-    used = set()
+    `_definitions`) that none of the `referencing` sources refers to.
+
+    A function, class or constant is referred to by a name that is read, an
+    attribute, or a part of a dotted-identifier string constant (the tracer
+    binds some methods by name with `getattr`). A method is referred to only
+    by an attribute or such a string: an attribute on a receiver that names
+    a defined class refers to that class's method alone, and an attribute on
+    a receiver rooted at one of the source's own imports (`np.full`,
+    `np.linalg.norm`) refers to no method. Binding a name is not a reference
+    to it. Dunder names are used implicitly and do not count."""
+    trees = {label: ast.parse(source) for label, source in defining.items()}
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    used, methods_used = set(), set()
     for source in referencing:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        imported = _imported_names(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                receiver = root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                named = receiver.id if isinstance(receiver, ast.Name) else getattr(receiver, "attr", None)
+                if named in classes:
+                    methods_used.add((named, node.attr))
+                elif not (isinstance(root, ast.Name) and root.id in imported):
+                    methods_used.add((None, node.attr))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
                     used.update(node.value.split("."))
+                    methods_used.update((None, part) for part in node.value.split("."))
     return sorted(
         f"{label}: {name} (line {line})"
-        for label, source in defining.items()
-        for name, line in _definitions(ast.parse(source))
-        if name not in used and not re.fullmatch(r"__\w+__", name)
+        for label, tree in trees.items()
+        for cls, name, line in _definitions(tree)
+        if not re.fullmatch(r"__\w+__", name)
+        and not ({(None, name), (cls, name)} & methods_used if cls else name in used)
     )
 
 
@@ -109,6 +142,18 @@ def test_the_check_finds_an_unreferenced_definition():
     referencing = ["A().used()", "getattr(mod, 'pkg.bound')", "CAP = 3\nprint(mod.KEPT)"]
     assert unreferenced_definitions(defining, referencing) == [
         "mod: ALIAS (line 7)", "mod: CAP (line 6)", "mod: orphan (line 4)"]
+
+
+def test_the_check_counts_a_method_only_through_its_receiver():
+    # a module attribute or a bare name spelled like a method is no reference
+    # to it, and a receiver that names a defined class refers to that class
+    # alone; `sys` is an import in one source and a local name in another
+    defining = {"mod": "class A:\n    def full(self): pass\n    def zero(self): pass\n    def load(self): pass\n"
+                       "class B:\n    def zero(self): pass\n    def norm(self): pass\n"}
+    referencing = ["import numpy as np\nnp.full(3)\nnp.linalg.norm(1)\nB.zero()\nnorm = 1\nprint(norm)\n",
+                   "import sys\nsys.zero()\n", "sys = A()\nsys.load()\n"]
+    assert unreferenced_definitions(defining, referencing) == [
+        "mod: full (line 2)", "mod: norm (line 7)", "mod: zero (line 3)"]
 
 
 def test_every_definition_in_src_is_referenced():

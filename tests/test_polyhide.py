@@ -32,7 +32,7 @@ def test_eval_basic():
     p = MultilinearPoly.from_masks(4, 2, [0b0011])  # x0 x1
     assert p.eval(0b0011) == 1
     assert p.eval(0b0001) == 0
-    zero = MultilinearPoly.zero(4, 2)
+    zero = MultilinearPoly.from_masks(4, 2, [])
     assert all(zero.eval(v) == 0 for v in range(16))
 
 
@@ -118,10 +118,7 @@ def test_noisy_rows_match_the_inverse_gather_reference(n, dim, d, m, eps):
     and generator state of gathering through its inverse's, one decoy at a
     time with scalar draws."""
     for seed in range(4):
-        if dim in (0, n):
-            a = Subspace.zero(n) if dim == 0 else Subspace.full(n)
-        else:
-            a = f2lin.random_subspace(n, dim, np.random.default_rng([seed, n, dim]))
+        a = f2lin.random_subspace(n, dim, np.random.default_rng([seed, n, dim]))
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         system = sample_noisy_system(a, d, m, eps, fast)
         coeffs, positions = dense_reference.sample_noisy_system(a, d, m, eps, slow)
@@ -439,15 +436,17 @@ def test_serialization_roundtrip():
 @pytest.mark.parametrize(
     "key, value",
     [("eps", "inf"), ("eps", "-inf"), ("eps", "1e308"), ("eps", "nan"), ("eps", "1.0"), ("eps", "-0.1"),
-     ("d", "-3"), ("d", "0"), ("d", "25"), ("d", "100000000000000000000"), ("m", "0"), ("m", "1"), ("m", "3")],
+     ("d", "-3"), ("d", "0"), ("d", "25"), ("d", "100000000000000000000"), ("d", "1"), ("m", "0"), ("m", "1"),
+     ("m", "3")],
 )
 def test_deserialize_refuses_header_values_no_mint_gives(key, value):
-    # eps in [0, 1) as sample_noisy_system mints it; d in [1, F2_DIM_CAP] as the catalog bounds it;
-    # m >= 1 as ceil(beta n) is for beta > 0; and m rows that are all zero, which a mint gives only
-    # with negligible probability
+    # eps in [0, 1) as sample_noisy_system mints it; d in [1, F2_DIM_CAP] as the catalog bounds it,
+    # with no monomial above d (the d=1 case carries x0.x1); m >= 1 as ceil(beta n) is for beta > 0;
+    # and m rows that are all zero, which a mint gives only with negligible probability
     head = {"n": "4", "d": "2", "m": "1", "eps": "0.25", key: value}
     rows = int(value) if key == "m" else 1
-    text = " ".join(f"{k}={v}" for k, v in head.items()) + "\n" + "-\n" * rows
+    row = "x0.x1" if (key, value) == ("d", "1") else "-"
+    text = " ".join(f"{k}={v}" for k, v in head.items()) + "\n" + f"{row}\n" * rows
     with pytest.raises(ValueError, match=f"{key}="):
         PolySystem.deserialize(text)
 

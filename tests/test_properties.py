@@ -37,12 +37,6 @@ def invertible_maps(draw):
 
 @small
 @given(subspaces())
-def test_subspace_roundtrip(a):
-    assert Subspace.deserialize(a.serialize()) == a
-
-
-@small
-@given(subspaces())
 def test_dual_of_dual_is_identity(a):
     assert a.dual().dual() == a
     assert a.dual().dim == a.n - a.dim
@@ -53,6 +47,12 @@ def test_dual_of_dual_is_identity(a):
 def test_poly_system_roundtrip(n, d, eps, data):
     rows = data.draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=1, max_size=5))
     coeffs = np.array([[(row >> j) & 1 for j in range(1 << n)] for row in rows], dtype=np.uint8)
+    above_d = np.array([bin(mask).count("1") > d for mask in range(1 << n)])
+    if coeffs[:, above_d].any():
+        # a monomial above the degree bound, which no mint gives, is refused; the rest round-trips
+        with pytest.raises(ValueError, match="degree above"):
+            PolySystem.deserialize(PolySystem(n, d, eps, coeffs).serialize())
+        coeffs[:, above_d] = 0
     system = PolySystem(n, d, eps, coeffs)
     text = system.serialize()
     if system.is_degenerate():

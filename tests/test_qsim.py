@@ -19,6 +19,7 @@ from hsmoney.qsim import (
     hadamard_all,
     haar_random_state,
     measure_projector,
+    subspace_mask,
     subspace_state,
     walsh_hadamard_raw,
 )
@@ -151,7 +152,7 @@ def test_hadamard_duality_all_dims_n12():
 def test_phase_oracle_action_and_count():
     rng = np.random.default_rng(26)
     a = f2lin.random_subspace(6, 3, rng)
-    u = PhaseOracle.from_subspace(a)
+    u = PhaseOracle(6, subspace_mask(a))
     x = next(m for m in a.members() if m)
     s = StateVector.basis(6, x)
     out = u.apply(s)
@@ -172,7 +173,7 @@ def test_measure_projector_certain_cases():
     rng = np.random.default_rng(28)
     a = f2lin.random_subspace(6, 3, rng)
     sa = subspace_state(a)
-    u = PhaseOracle.from_subspace(a)
+    u = PhaseOracle(6, subspace_mask(a))
     p = Projector.from_oracle(u)
     ok, post, prob = measure_projector(p, sa, rng)
     assert ok and prob == pytest.approx(1.0)
