@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -399,12 +399,11 @@ def amplification_budget(eps: float, delta: float) -> float:
 # cloning experiments
 
 
-def clone_by_search(
-    target: StateVector, rng: np.random.Generator, overlap_guess: Optional[float] = None
-) -> Tuple[StateVector, int]:
+def clone_by_search(target: StateVector, rng: np.random.Generator, overlap_guess: float) -> Tuple[StateVector, int]:
     """Prepare `target` by amplitude amplification from the uniform
     superposition, with up to 64 fresh starts, and return the state and the
-    queries made to a reflection oracle about the target.
+    queries made to a reflection oracle about the target. `overlap_guess`,
+    the assumed |<uniform|target>|, sets the iteration count.
 
     The diffusion about the uniform state is query-free (the problem's init
     counter is never read); each iteration charges one target-oracle call,
@@ -413,8 +412,6 @@ def clone_by_search(
     n = target.n_qubits
     oracle = CountedOracle("U_target")
     uniform = StateVector.uniform(n)
-    if overlap_guess is None:
-        overlap_guess = 2.0 ** (-n / 2)
     theta = math.asin(min(1.0, overlap_guess))
     t_star = max(0, round(math.pi / (4 * theta) - 0.5))
     goal = Projector.onto_state(target, charge_to=oracle)

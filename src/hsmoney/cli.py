@@ -107,12 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     wiesner = sub.add_parser("wiesner", help="four-state private-key scheme")
     wsub = wiesner.add_subparsers(dest="subcommand", required=True)
     for name in ("mint", "verify", "attack-adaptive", "attack-clone"):
+        # an attack is the catalog run of its name, and takes that entry's defaults
+        catalog_run = name.startswith("attack-")
         wp = wsub.add_parser(name)
-        wp.add_argument("--n", type=int, default=16)
+        wp.add_argument("--n", type=int, default=None if catalog_run else 16)
         wp.add_argument("--seed", type=int, default=0)
         if name != "mint":
-            wp.add_argument("--trials", type=int, default=100)
-        if name.startswith("attack-"):
+            wp.add_argument("--trials", type=int, default=None if catalog_run else 100)
+        if catalog_run:
             wp.add_argument("--out", default=None)
 
     keyed = sub.add_parser("keyed", help="keyed hidden-subspace private scheme")

@@ -10,16 +10,11 @@ same set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import config
-
-
-def dot(x: int, y: int) -> int:
-    """F_2 dot product (parity of the AND)."""
-    return bin(x & y).count("1") & 1
 
 
 def vec_to_str(x: int, n: int) -> str:
@@ -110,13 +105,6 @@ class Subspace:
                 x ^= row
         return x == 0
 
-    def members(self) -> Iterator[int]:
-        """All 2^dim elements (insertion order, not sorted)."""
-        span = [0]
-        for row in self.basis:
-            span += [v ^ row for v in span]
-        return iter(span)
-
     def member_array(self) -> np.ndarray:
         """All elements as a sorted int64 array."""
         span = np.zeros(1, dtype=np.int64)
@@ -165,13 +153,6 @@ def random_subspace(n: int, dim: int, rng: np.random.Generator) -> Subspace:
             return Subspace(n, reduced)
 
 
-def intersection_dim(a: Subspace, b: Subspace) -> int:
-    """dim(A intersect B) via dim A + dim B - dim(A + B)."""
-    if a.n != b.n:
-        raise ValueError(f"ambient dims differ: {a.n} vs {b.n}")
-    return a.dim + b.dim - rank(a.basis + b.basis, a.n)
-
-
 @dataclass(frozen=True)
 class LinMap:
     """Linear map on F_2^n; row i of `rows` holds the i-th output bit mask.
@@ -189,10 +170,6 @@ class LinMap:
             raise ValueError("row count must equal ambient dimension")
         for r in self.rows:
             _check_vec(r, self.n)
-
-    @classmethod
-    def identity(cls, n: int) -> "LinMap":
-        return cls(n, tuple(1 << i for i in range(n)))
 
     def apply(self, x: int) -> int:
         _check_vec(x, self.n)

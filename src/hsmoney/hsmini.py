@@ -5,7 +5,8 @@ serial checker H, and serial-indexed primal/dual subspace testers. G is
 materialized lazily and memoized per r; serial collisions are resampled so
 serials stay pairwise distinct. The bundle counts queries to each of the four
 parts: `g_queries` and `h_queries` for G and H, and one `CountedOracle` per
-tester, labelled `T_primal` and `T_dual`, shared by all serials.
+tester, labelled `T_primal` and `T_dual`, shared by all serials; the
+paper's T-query cost is the sum of the two tester counts.
 Verification returns the verdict of the four-step circuit project /
 transform / project / transform, charging exactly one primal and one dual
 tester query. It makes its dual query on A's span: after the primal
@@ -122,10 +123,6 @@ class OracleBundle:
     def lookup(self, serial: bytes) -> Optional[BundleEntry]:
         return self._by_serial.get(serial)
 
-    @property
-    def subspace_queries(self) -> int:
-        return self.primal_tester.query_count + self.dual_tester.query_count
-
     def snapshot(self) -> dict:
         return {
             "n": self.n,
@@ -222,7 +219,7 @@ def verifier_operator_distance(bundle: OracleBundle, serial: bytes) -> float:
     dual_mask = subspace_mask(entry.subspace.dual())
     worst = 0.0
     basis_col = np.zeros(1 << n, dtype=np.complex128)
-    for x in entry.subspace.members():
+    for x in entry.members:  # filled by money_state
         basis_col[:] = 0.0
         basis_col[x] = 1.0
         col = walsh_hadamard_raw(basis_col)

@@ -1,9 +1,10 @@
 """Subspace hiding with multilinear F_2 polynomials.
 
-A polynomial is a set of multilinear monomials (variable bitmasks); systems
-are stored as stacked algebraic-normal-form coefficient tables of shape
-(m, 2^n) so that truth tables, zero-count tables, and basis changes run as
-vectorized XOR butterflies over all 2^n points at once. The butterfly (the
+A system of m polynomials is stored as a stacked algebraic-normal-form
+coefficient table of shape (m, 2^n), one row per polynomial and one column
+per monomial (a variable bitmask), so that truth tables, zero-count tables,
+and basis changes run as vectorized XOR butterflies over all 2^n points at
+once; nothing here evaluates one polynomial at one point. The butterfly (the
 binary Moebius transform) is an involution: it maps coefficient tables to
 truth tables and back. It runs on bits: each row is packed 64 points to a
 uint64 word for the transform, while the tables themselves stay one byte per
@@ -107,43 +108,6 @@ def _allowed_masks(n: int, frame_dim: int, d: int) -> np.ndarray:
     return idx[(pc <= d) & ((idx & high) != 0)]
 
 
-@dataclass(frozen=True)
-class MultilinearPoly:
-    """Multilinear polynomial over F_2: a set of monomial variable-masks."""
-
-    n_vars: int
-    degree_bound: int
-    monomials: frozenset
-
-    def __post_init__(self) -> None:
-        for m in self.monomials:
-            if m < 0 or m >> self.n_vars:
-                raise ValueError("monomial uses variables outside the range")
-            if bin(m).count("1") > self.degree_bound:
-                raise ValueError("monomial exceeds the degree bound")
-
-    @classmethod
-    def from_masks(cls, n_vars: int, d: int, masks) -> "MultilinearPoly":
-        return cls(n_vars, d, frozenset(int(m) for m in masks))
-
-    def eval(self, v: int) -> int:
-        if v < 0 or v >> self.n_vars:
-            raise ValueError("point does not fit the variable count")
-        acc = 0
-        for m in self.monomials:
-            acc ^= (v & m) == m
-        return acc & 1
-
-    def coeff_row(self) -> np.ndarray:
-        row = np.zeros(1 << self.n_vars, dtype=np.uint8)
-        for m in self.monomials:
-            row[m] = 1
-        return row
-
-    def truth_table(self) -> np.ndarray:
-        return xor_mobius_inplace(self.coeff_row())
-
-
 def _frame_coeff_batch(
     a: Subspace, d: int, count: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, Optional[List[int]]]:
@@ -215,12 +179,6 @@ def _decoy_coeff_rows(
     return coeffs
 
 
-def sample_vanishing(a: Subspace, d: int, rng: np.random.Generator) -> MultilinearPoly:
-    """One uniform degree-<=d polynomial vanishing on the subspace."""
-    row = _vanishing_coeff_batch(a, d, 1, rng)[0]
-    return MultilinearPoly.from_masks(a.n, d, np.flatnonzero(row))
-
-
 @dataclass
 class PolySystem:
     """m multilinear polynomials, (1-eps)m of which vanish on a hidden subspace."""
@@ -250,13 +208,6 @@ class PolySystem:
         truth = self.coeffs.copy()
         xor_mobius_inplace(truth)
         return truth.sum(axis=0, dtype=np.int32)
-
-    def weight(self, v: int) -> int:
-        if v < 0 or v >> self.n_vars:
-            raise ValueError("point does not fit the variable count")
-        # the monomials that evaluate to 1 at v are the subsets of v
-        idx = np.arange(1 << self.n_vars)
-        return int((self.coeffs[:, (idx & v) == idx].sum(axis=1) & 1).sum())
 
     def is_degenerate(self) -> bool:
         return not self.coeffs.any()
@@ -354,31 +305,14 @@ def sample_noisy_system(
     return PolySystem(a.n, d, eps, coeffs, noise_positions=noisy_positions)
 
 
-def _warn_if_degenerate(sys: PolySystem) -> None:
-    if sys.is_degenerate():
-        warnings.warn("all-zero polynomial system accepts every point", RuntimeWarning)
-
-
-def zset_membership(sys: PolySystem, v: int) -> bool:
-    """Standard rule: v is in Z when at most floor(eps m) polynomials hit it."""
-    _warn_if_degenerate(sys)
-    return sys.weight(v) <= sys.standard_threshold()
-
-
-def zset_membership_variant(sys: PolySystem, v: int) -> bool:
-    """High-noise rule: threshold (1 + eps) m / 4; works for any eps < 1 at the
-    cost of an exponentially small completeness error."""
-    _warn_if_degenerate(sys)
-    return sys.weight(v) <= sys.variant_threshold()
-
-
 def zset_mask(sys: PolySystem) -> np.ndarray:
     """Boolean Z-set membership over all 2^n points.
 
     The standard rule keeps the hidden subspace in Z with certainty while
     eps < 1/3; beyond that the variant threshold is used.
     """
-    _warn_if_degenerate(sys)
+    if sys.is_degenerate():
+        warnings.warn("all-zero polynomial system accepts every point", RuntimeWarning)
     thr = sys.variant_threshold() if sys.eps >= 1 / 3 else sys.standard_threshold()
     return sys.zero_count_table() <= thr
 
@@ -426,8 +360,10 @@ def bank_explicit_with_secret(
 
 
 def _systems_well_formed(primal: PolySystem, dual: PolySystem) -> bool:
+    """Headers that agree, over an even n: the hidden subspace has dimension n/2."""
     return (
-        primal.n_vars == dual.n_vars
+        primal.n_vars % 2 == 0
+        and primal.n_vars == dual.n_vars
         and primal.degree_bound == dual.degree_bound
         and primal.m == dual.m
         and primal.eps == dual.eps

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -290,39 +290,24 @@ def adaptive_attack(
 
 class KeyedSubspaceBank:
     """Private-key scheme whose notes are hidden-subspace states derived from
-    a keyed function of the serial; verification is the rank-1 projector and
-    returns the post-measurement state.
-
-    Backends: "prf" expands a keyed hash into basis rows (rejection-resampled
-    to full rank); "random" lazily samples and memoizes a true random
-    function. Swapping backends changes no observable statistics at test
-    sample sizes.
+    a keyed function of the serial: a keyed hash seeds the basis rows
+    (rejection-resampled to full rank), memoised per serial. Verification is
+    the rank-1 projector and returns the post-measurement state.
     """
 
-    def __init__(self, n: int, key: bytes, backend: str = "prf",
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, n: int, key: bytes):
         if n % 2:
             raise ValueError("ambient dimension must be even")
-        if backend not in ("prf", "random"):
-            raise ValueError("backend must be 'prf' or 'random'")
         self.n = n
         self.key = key
-        self.backend = backend
         self._memo: Dict[bytes, Subspace] = {}
-        self._lazy_rng = rng
         self.verify_queries = 0
 
     def subspace_for(self, serial: bytes) -> Subspace:
         sub = self._memo.get(serial)
         if sub is None:
-            if self.backend == "prf":
-                digest = hashlib.sha256(self.key + b"|" + serial).digest()
-                local = np.random.default_rng(int.from_bytes(digest, "big"))
-                sub = random_subspace(self.n, self.n // 2, local)
-            else:
-                if self._lazy_rng is None:
-                    raise ValueError("random backend needs a generator")
-                sub = random_subspace(self.n, self.n // 2, self._lazy_rng)
+            digest = hashlib.sha256(self.key + b"|" + serial).digest()
+            sub = random_subspace(self.n, self.n // 2, np.random.default_rng(int.from_bytes(digest, "big")))
             self._memo[serial] = sub
         return sub
 

@@ -229,12 +229,6 @@ class PhaseOracle(CountedOracle):
         self.n_qubits = n_qubits
         self.mask = mask
 
-    @classmethod
-    def from_indices(cls, n_qubits: int, indices, label: str = "") -> "PhaseOracle":
-        mask = np.zeros(1 << n_qubits, dtype=np.bool_)
-        mask[np.asarray(indices, dtype=np.int64)] = True
-        return cls(n_qubits, mask, label)
-
     def apply(self, s: StateVector) -> StateVector:
         """Phase-flip accepted basis states; one query per call."""
         self.charge()
@@ -268,8 +262,8 @@ class ReflectAboutState(CountedOracle):
 class Projector:
     """Diagonal (basis-subset) or rank-1 (target-state) projector.
 
-    When built from a PhaseOracle, measuring charges one query to that oracle
-    (the control-qubit implementation uses a single controlled call).
+    Measuring charges one query to `charge_to`, when given (the control-qubit
+    implementation uses a single controlled call).
     """
 
     def __init__(
@@ -289,10 +283,6 @@ class Projector:
     @classmethod
     def from_mask(cls, n_qubits: int, mask: np.ndarray, charge_to=None) -> "Projector":
         return cls(n_qubits, mask=mask.astype(np.bool_), charge_to=charge_to)
-
-    @classmethod
-    def from_oracle(cls, oracle: PhaseOracle) -> "Projector":
-        return cls(oracle.n_qubits, mask=oracle.mask, charge_to=oracle)
 
     @classmethod
     def onto_state(cls, target: StateVector, charge_to=None) -> "Projector":

@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import config
-from .qsim import CountedOracle, PhaseOracle, Projector, StateVector, measure_projector, sqnorm
+from .qsim import CountedOracle, Projector, StateVector, measure_projector, sqnorm
 
 
 @dataclass
@@ -74,13 +74,12 @@ class SearchParams:
     """Schedule for the hybrid search.
 
     eps is the promised lower bound on the initial goal fidelity; the
-    schedule uses xi = arcsin(eps), never the true overlap. The derived
-    values are L = ceil(hybrid_draws(eps)) and R = ceil(cleanup_rounds(delta)).
+    schedule reads eps, never the true overlap. The derived values are
+    L = ceil(hybrid_draws(eps)) and R = ceil(cleanup_rounds(delta)).
     """
 
     eps: float
     delta: float
-    xi: float = field(init=False)
     L: int = field(init=False)
     R: int = field(init=False)
 
@@ -89,7 +88,6 @@ class SearchParams:
             raise ValueError("eps must lie in (0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        self.xi = math.asin(self.eps)
         draws, rounds = hybrid_draws(self.eps), cleanup_rounds(self.delta)
         if not max(draws, rounds) < math.inf:
             raise ValueError(f"eps={self.eps} and delta={self.delta} set an endless schedule")
@@ -256,6 +254,6 @@ def planted_problem(n: int, overlap: float, rng: np.random.Generator) -> SearchP
     amps = np.zeros(dim, dtype=np.complex128)
     amps[goal_idx] = overlap / math.sqrt(goal_count)
     amps[rest_idx] = math.sqrt(max(0.0, 1 - overlap ** 2)) / math.sqrt(dim - goal_count)
-    init = StateVector(n, amps)
-    goal = PhaseOracle.from_indices(n, goal_idx, label="U_goal")
-    return SearchProblem(init, Projector.from_oracle(goal))
+    mask = np.zeros(dim, dtype=np.bool_)
+    mask[goal_idx] = True
+    return SearchProblem(StateVector(n, amps), Projector.from_mask(n, mask, charge_to=CountedOracle("U_goal")))

@@ -30,16 +30,23 @@ The counterfeiter here pads the note with a blank second register and
 rotates all 2^(2n) amplitudes; `hsmoney.advlab.Counterfeiter` takes its
 inner products over the note's 2^n amplitudes and adds the rotated note into
 the first 2^n entries of its output.
+The evaluators at the end work one point, one polynomial or one subspace
+member at a time: a polynomial as a set of monomials, its value at a point,
+the zero count of a system at a point and the Z-set rules on it, the F_2
+inner product, subspace members in span order and intersection dimensions.
+`hsmoney.polyhide` evaluates whole coefficient tables by Moebius
+butterflies, and `hsmoney.f2lin` enumerates members as one sorted array.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
 
-from hsmoney.f2lin import LinMap, Subspace, rref
-from hsmoney.polyhide import _systems_well_formed, xor_mobius_inplace, zset_mask
+from hsmoney.f2lin import LinMap, Subspace, rank, rref
+from hsmoney.polyhide import PolySystem, _systems_well_formed, _vanishing_coeff_batch, xor_mobius_inplace, zset_mask
 from hsmoney.qsim import CountedOracle, Projector, StateVector, hadamard_all, measure_projector, subspace_mask
 from hsmoney.search import SearchProblem
 
@@ -260,3 +267,83 @@ class Counterfeiter(CountedOracle):
         if self._u2 is not None:
             out = out - c2 * self._u2 + d2 * self._u2
         return StateVector._wrap(2 * self.n_qubits, out)
+
+
+@dataclass(frozen=True)
+class MultilinearPoly:
+    """Multilinear polynomial over F_2: a set of monomial variable-masks."""
+
+    n_vars: int
+    degree_bound: int
+    monomials: frozenset
+
+    @classmethod
+    def from_masks(cls, n_vars: int, d: int, masks) -> "MultilinearPoly":
+        return cls(n_vars, d, frozenset(int(m) for m in masks))
+
+    def eval(self, v: int) -> int:
+        """The value at point v: the parity of the monomials whose variables v all sets."""
+        acc = 0
+        for m in self.monomials:
+            acc ^= (v & m) == m
+        return acc & 1
+
+    def coeff_row(self) -> np.ndarray:
+        row = np.zeros(1 << self.n_vars, dtype=np.uint8)
+        for m in self.monomials:
+            row[m] = 1
+        return row
+
+    def truth_table(self) -> np.ndarray:
+        return xor_mobius_inplace(self.coeff_row())
+
+
+def sample_vanishing(a: Subspace, d: int, rng: np.random.Generator) -> MultilinearPoly:
+    """One uniform degree-<=d polynomial vanishing on A, drawn by the library's batch sampler."""
+    return MultilinearPoly.from_masks(a.n, d, np.flatnonzero(_vanishing_coeff_batch(a, d, 1, rng)[0]))
+
+
+def weight(system: PolySystem, v: int) -> int:
+    """How many polynomials of the system are 1 at v: those with an odd
+    number of monomials among the subsets of v."""
+    idx = np.arange(1 << system.n_vars)
+    return int((system.coeffs[:, (idx & v) == idx].sum(axis=1) & 1).sum())
+
+
+def zset_membership(system: PolySystem, v: int) -> bool:
+    """Standard rule: v is in Z when at most floor(eps m) polynomials hit it."""
+    return weight(system, v) <= system.standard_threshold()
+
+
+def zset_membership_variant(system: PolySystem, v: int) -> bool:
+    """High-noise rule: v is in Z when at most (1 + eps) m / 4 polynomials hit it."""
+    return weight(system, v) <= system.variant_threshold()
+
+
+def dot(x: int, y: int) -> int:
+    """F_2 dot product (parity of the AND)."""
+    return bin(x & y).count("1") & 1
+
+
+def identity(n: int) -> LinMap:
+    return LinMap(n, tuple(1 << i for i in range(n)))
+
+
+def members(a: Subspace) -> List[int]:
+    """All 2^dim elements, in span order (not sorted)."""
+    span = [0]
+    for row in a.basis:
+        span += [v ^ row for v in span]
+    return span
+
+
+def intersection_dim(a: Subspace, b: Subspace) -> int:
+    """dim(A intersect B) via dim A + dim B - dim(A + B)."""
+    if a.n != b.n:
+        raise ValueError(f"ambient dims differ: {a.n} vs {b.n}")
+    return a.dim + b.dim - rank(a.basis + b.basis, a.n)
+
+
+def subspace_queries(bundle) -> int:
+    """The T-query count in which the paper states the cost: both testers' queries."""
+    return bundle.primal_tester.query_count + bundle.dual_tester.query_count

@@ -110,7 +110,7 @@ def test_relation_sampling_properties():
         a = s.meta["subspace_u"]
         b = s.meta["subspace_v"]
         assert a != b  # never pairs an oracle with itself
-        assert f2lin.intersection_dim(a, b) == 3
+        assert dense_reference.intersection_dim(a, b) == 3
         assert s.init_u.overlap(s.init_v) == pytest.approx(0.5, abs=1e-9)
     hrel = HaarPairRelation(5, 0.5)
     s = hrel.sample(rng)
@@ -260,7 +260,7 @@ def test_clone_search_success_fidelity():
     rng = np.random.default_rng(140)
     for _ in range(10):
         target = haar_random_state(6, rng)
-        state, _ = clone_by_search(target, rng)
+        state, _ = clone_by_search(target, rng, overlap_guess=2.0 ** -3)
         fidelity = state.overlap(target)
         if fidelity > 0.5:  # success branch
             assert fidelity >= 0.999
@@ -277,7 +277,7 @@ def test_clone_search_trivial_target():
 
 def test_clone_search_medians():
     rng = np.random.default_rng(142)
-    haar_q = [clone_by_search(haar_random_state(8, rng), rng)[1] for _ in range(101)]
+    haar_q = [clone_by_search(haar_random_state(8, rng), rng, overlap_guess=2.0 ** -4)[1] for _ in range(101)]
     ref = (math.pi / 4) * 2 ** 4
     assert ref / 2 <= statistics.median(haar_q) <= 2 * ref
     sub_q = [

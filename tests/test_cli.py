@@ -5,9 +5,11 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
-from hsmoney.cli import EXIT_OK, EXIT_USAGE, _build_parser, main
+from hsmoney import f2lin, polyhide, qsim
+from hsmoney.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, _build_parser, main
 from hsmoney.experiments import CATALOG, OPTIONS, ExperimentConfig, ExperimentOutcome, run_experiment
 
 
@@ -110,6 +112,18 @@ def test_mint_explicit_refuses_degree_one(tmp_path, capsys):
     assert "insecure" in capsys.readouterr().err
 
 
+def test_verify_explicit_rejects_an_odd_n_note(tmp_path, capsys):
+    # well-formed files that no mint writes: n=7 has no half-dimensional subspace
+    rng = np.random.default_rng(3)
+    a = f2lin.random_subspace(7, 3, rng)
+    for suffix, text in ((".primal", polyhide.sample_noisy_system(a, 3, 84, 0.25, rng).serialize()),
+                         (".dual", polyhide.sample_noisy_system(a.dual(), 3, 84, 0.25, rng).serialize()),
+                         (".state", qsim.subspace_state(a).dump())):
+        (tmp_path / ("note" + suffix)).write_text(text)
+    assert main(["verify-explicit", "--note", str(tmp_path / "note")]) == EXIT_ASSERTION
+    assert capsys.readouterr().out.strip() == "REJECT"
+
+
 def test_verify_explicit_missing_file(tmp_path):
     assert main(["verify-explicit", "--note", str(tmp_path / "nope")]) == EXIT_USAGE
 
@@ -128,6 +142,21 @@ def test_wiesner_subcommands(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert len(rec["qubits"]) == 8
     assert main(["wiesner", "verify", "--n", "8", "--seed", "1", "--trials", "20"]) == EXIT_OK
+
+
+def test_wiesner_attacks_take_the_catalog_defaults(tmp_path):
+    # at n=16 and 100 trials one measure-resend hit falls outside the band
+    # (seed 2 fails there), so the attacks leave n and trials to their
+    # catalog entries, as mint and verify do not
+    for name in ("attack-adaptive", "attack-clone"):
+        args = _build_parser().parse_args(["wiesner", name])
+        assert (args.n, args.trials) == (None, None)
+    verify = _build_parser().parse_args(["wiesner", "verify"])
+    assert (verify.n, verify.trials) == (16, 100)
+    out = tmp_path / "clone.jsonl"
+    assert main(["wiesner", "attack-clone", "--seed", "2", "--out", str(out)]) == EXIT_OK
+    header = json.loads(out.read_text().splitlines()[0])
+    assert header["params"] == {option: spec.default for option, spec in CATALOG["attack-clone"].options.items()}
 
 
 def test_keyed_subcommands(capsys):

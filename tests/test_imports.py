@@ -1,8 +1,9 @@
 """Every name a module of src/hsmoney or tests imports is used in that module,
 every function, class and module-level constant or alias src/hsmoney defines
 is referenced somewhere, only an allowlist of them is referenced by tests
-alone, the modules keep their layers, and starting the program imports no
-scipy.
+alone, every definition of tests/dense_reference.py is referenced by a test
+or by another reference, the modules keep their layers, and starting the
+program imports no scipy.
 
 Stdlib `ast` checks, so they run without a linter installed. Names inside
 string constants count as used, which covers quoted annotations.
@@ -163,11 +164,12 @@ def test_every_definition_in_src_is_referenced():
 
 
 # The definitions in src that no program path reaches: nothing in src or in
-# the benchmark driver names them, only tests. Each stays for the reason
-# given; a new test-only definition, or an entry that src starts to use or
-# deletes, fails the census below.
+# the benchmark driver names them, only tests. Each is a construct of the
+# paper and stays for the reason given; a reference evaluator that only
+# tests reach belongs in tests/dense_reference.py instead. A new test-only
+# definition, or an entry that src starts to use or deletes, fails the
+# census below.
 TEST_ONLY = {
-    # paper constructs
     "hsmini.randomize_instance": "the random-invertible-map reduction from one hidden subspace to a uniform one",
     "hsmini.undo_state": "the inverse of that reduction",
     "polyhide.soundness_experiment": "the counterfeiting game that defines the explicit scheme's soundness",
@@ -179,17 +181,6 @@ TEST_ONLY = {
     "privkey.random_guess_per_qubit_exact": "the exact per-qubit acceptance, 1/2, of a random Wiesner guess",
     "advlab.HaarPairRelation": "the inner-product adversary's relation on Haar states",
     "advlab.JunkEmitter": "the counterfeiter every verifier must reject",
-    # reference evaluators that tests compare the batched paths against
-    "polyhide.eval": "one polynomial at one point, the reference for its truth table",
-    "polyhide.truth_table": "one polynomial's truth table, the reference for rows moved through a linear map",
-    "polyhide.sample_vanishing": "one vanishing polynomial, whose draws tests pin to the dense reference sampler",
-    "polyhide.zset_membership": "the standard Z-set rule at one point",
-    "polyhide.zset_membership_variant": "the high-noise Z-set rule at one point",
-    # GF(2) primitives and the counter that tests state paper facts with
-    "f2lin.dot": "the F_2 inner product that defines the dual subspace",
-    "f2lin.identity": "the identity map of the LinMap identities",
-    "f2lin.intersection_dim": "the overlap <A|B> = 2^(dim(A & B) - n/2)",
-    "hsmini.subspace_queries": "the T-query count in which the paper states the cost",
 }
 
 
@@ -200,6 +191,13 @@ def test_only_the_allowlisted_definitions_in_src_are_test_only():
     found = {re.sub(r"\.py: (\w+) \(line \d+\)", r".\1", entry)
              for entry in unreferenced_definitions(defining, referencing)}
     assert found == set(TEST_ONLY)
+
+
+def test_every_reference_is_compared_against():
+    # a reference that no test reaches any more is deleted, not kept
+    reference = TESTS / "dense_reference.py"
+    referencing = [path.read_text() for path in sorted(TESTS.glob("test_*.py")) + [reference]]
+    assert unreferenced_definitions({reference.name: reference.read_text()}, referencing) == []
 
 
 def package_imports(source: str) -> set:

@@ -1,6 +1,7 @@
 """Property tests: serialization round trips, involutions and algebraic
 identities over randomly drawn small instances (n <= 8; n <= 16 for the
-block-drawn subspaces and basis completions)."""
+block-drawn subspaces and basis completions), and a fuzz of the note reader
+on mutations of one minted system."""
 
 from functools import lru_cache
 
@@ -13,7 +14,7 @@ import dense_reference
 from hsmoney.f2lin import LinMap, Subspace, complete_basis, random_subspace
 from hsmoney.hsmini import OracleBundle
 from hsmoney.money import LamportMerkleSigner, MalformedSignatureError
-from hsmoney.polyhide import PolySystem, xor_mobius_inplace
+from hsmoney.polyhide import PolySystem, bank_explicit_with_secret, xor_mobius_inplace
 from hsmoney.qsim import StateVector, walsh_hadamard_raw
 
 small = settings(max_examples=40, deadline=None)
@@ -128,7 +129,7 @@ def test_mobius_matches_its_definition(n, m, seed):
 def test_weight_is_the_zero_count_table(n, m, seed):
     coeffs = np.random.default_rng(seed).integers(0, 2, size=(m, 1 << n), dtype=np.uint8)
     system = PolySystem(n, n, 0.0, coeffs)
-    assert [system.weight(v) for v in range(1 << n)] == system.zero_count_table().tolist()
+    assert [dense_reference.weight(system, v) for v in range(1 << n)] == system.zero_count_table().tolist()
 
 
 @small
@@ -173,3 +174,44 @@ def test_lamport_rejects_every_single_byte_flip(data):
     except MalformedSignatureError:
         accepted = False
     assert not accepted
+
+
+@lru_cache(maxsize=1)
+def _note_text():
+    note, _ = bank_explicit_with_secret(6, 4, 0.25, 12.0, np.random.default_rng(7))
+    return note.primal_system.serialize()
+
+
+@st.composite
+def mutated_notes(draw):
+    """A minted n=6 system's text with a token inserted, a span deleted, or
+    its lines duplicated or shuffled."""
+    text = _note_text()
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["insert", "delete", "duplicate", "shuffle"]))
+    if kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        token = draw(st.one_of(
+            st.sampled_from(["x", "x6", "x-1", "x0.x0", ".", ",", "=", "1", "-", " ", "\n", "n=8", "m=0",
+                             "d=99", "eps=nan", "eps=1e999", "x0.x1.x2.x3.x4"]),
+            st.text(max_size=6)))
+        return text[:at] + token + text[at:]
+    if kind == "delete":
+        start = draw(st.integers(0, len(text)))
+        return text[:start] + text[start + draw(st.integers(1, 200)):]
+    if kind == "duplicate":
+        i = draw(st.integers(0, len(lines) - 1))
+        return "".join(lines[: i + 1] + lines[i:])
+    return "".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_notes())
+def test_note_reader_loads_or_refuses_mutated_notes(text):
+    # a mutated note is read as some system or refused by ValueError, which
+    # the command line turns into one error line and exit 2; nothing else escapes
+    try:
+        system = PolySystem.deserialize(text)
+    except ValueError:
+        return
+    assert system.coeffs.shape == (system.m, 1 << system.n_vars)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hsmoney import config
-from hsmoney.qsim import PhaseOracle, Projector, StateVector, fidelity_to_goal
+from hsmoney.qsim import CountedOracle, Projector, StateVector, fidelity_to_goal
 from hsmoney.search import (
     SearchParams,
     SearchProblem,
@@ -50,8 +50,8 @@ def test_amplify_zero_iterations_returns_init():
 def test_grover_special_case_n2():
     # uniform start, one marked item out of 4: T=1 finds it with certainty
     marked = 2
-    goal = PhaseOracle.from_indices(2, [marked])
-    p = SearchProblem(StateVector.uniform(2), Projector.from_oracle(goal))
+    goal = Projector.from_mask(2, np.arange(4) == marked, charge_to=CountedOracle("U_goal"))
+    p = SearchProblem(StateVector.uniform(2), goal)
     out = amplitude_amplify(p, 1)
     assert abs(out.amps[marked]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
@@ -147,7 +147,6 @@ def test_hybrid_query_accounting_consistency():
 
 def test_search_params_schedule_values():
     sp = SearchParams(eps=0.05, delta=0.2)
-    assert sp.xi == pytest.approx(math.asin(0.05))
     assert sp.L == math.ceil(100 / math.asin(0.05))
     assert sp.R == math.ceil(25 / 0.04 * (2 + math.log(5)) / 0.8)
 
