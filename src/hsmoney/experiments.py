@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -458,6 +458,15 @@ def run_attack_adaptive(cfg: ExperimentConfig) -> ExperimentOutcome:
 # attack-clone
 
 
+def _binomial_tails(trials: int, p: float, hits: int) -> Tuple[float, float]:
+    """(P[X <= hits], P[X >= hits]) for X ~ Bin(trials, p), 0 < p < 1, from
+    the probability mass function built as a running sum of log ratios."""
+    j = np.arange(trials)
+    steps = np.log((trials - j) / (j + 1)) + (math.log(p) - math.log1p(-p))
+    pmf = np.exp(trials * math.log1p(-p) + np.concatenate(([0.0], np.cumsum(steps))))
+    return float(pmf[: hits + 1].sum()), float(pmf[hits:].sum())
+
+
 def run_attack_clone(cfg: ExperimentConfig) -> ExperimentOutcome:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     exact = privkey.measure_resend_per_qubit_exact()
@@ -472,8 +481,10 @@ def run_attack_clone(cfg: ExperimentConfig) -> ExperimentOutcome:
         hits += ok1 and ok2
     emp = hits / cfg.trials
     want = float(exact) ** n
-    sigma = math.sqrt(max(want * (1 - want), 1e-12) / cfg.trials)
-    resend_ok = abs(emp - want) <= 4 * sigma + 1e-6
+    # hits is Bin(trials, want): gate on its exact tails at the two-sided
+    # level of a 4-sigma normal band, which at trials * want << 1 would fail
+    # a single hit far more often than that level
+    resend_ok = min(_binomial_tails(cfg.trials, want, hits)) >= math.erfc(4 / math.sqrt(2)) / 2
     opt = privkey.optimize_cloning_channel(rng)
     ceiling = float(privkey.certify_cloning_ceiling())
     opt_ok = abs(opt.value - ceiling) <= 0.01 and opt.value <= ceiling + 1e-12

@@ -7,20 +7,24 @@ serials stay pairwise distinct. The bundle counts queries to each of the four
 parts: `g_queries` and `h_queries` for G and H, and one `CountedOracle` per
 tester, labelled `T_primal` and `T_dual`, shared by all serials; the
 paper's T-query cost is the sum of the two tester counts.
+
 Verification returns the verdict of the four-step circuit project /
 transform / project / transform, charging exactly one primal and one dual
-tester query. It makes its dual query on A's span: after the primal
-projection the state lies in the span of A's members, where the transformed
-dual test is the rank-1 projector onto the money state, so it runs no
-transform and builds no A_perp.
+tester query. Both tests act only on the span of A's 2^(n/2) members and on
+what lies outside it, so the verifier runs them in a frame of n/2 + 1
+qubits: the state's amplitudes on A's members, then one amplitude holding
+the norm of the rest. The primal test keeps the first half of the frame;
+the dual test, which on A's span is the rank-1 projector onto the money
+state, is the projector onto the uniform state of that half. The two frame
+tests are built once per bundle, on the first verification; no 2^n array
+is made (an 8 KiB frame at n=16).
 
 Each bundle entry memoises its subspace's member indices: 2^(n/2) read-only
-int64 values (128 B at n=8, 2 KiB at n=16), filled by the first `bank` or
-`HsMiniScheme.target_state` call for the serial. Re-minting a serial and
-repeated verifications of it, as in threshold repetition over a composite
-note, then build the money state from the memo without enumerating the
-subspace again. Dense states and tester masks are not memoised: each
-verification builds the serial's 2^n primal mask and drops it.
+int64 values (128 B at n=8, 2 KiB at n=16), filled by the first `bank`,
+`verify_circuit` or `HsMiniScheme.target_state` call for the serial.
+Re-minting a serial and repeated verifications of it, as in threshold
+repetition over a composite note, then read the memo without enumerating the
+subspace again. Dense money states are not memoised.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .qsim import (
     Projector,
     StateVector,
     measure_projector,
+    sqnorm,
     subspace_mask,
     uniform_on,
     walsh_hadamard_raw,
@@ -63,22 +68,26 @@ def _sample_serial(n: int, rng: np.random.Generator) -> bytes:
 class BundleEntry:
     """One issued note: G's input r, its serial and its subspace.
 
-    `members` is None until `money_state` is first called; it then holds the
-    subspace's 2^(n/2) member indices as a read-only int64 array (128 B at
-    n=8, 2 KiB at n=16)."""
+    `members` is None until `member_indices` is first called; it then holds
+    the subspace's 2^(n/2) sorted member indices as a read-only int64 array
+    (128 B at n=8, 2 KiB at n=16)."""
 
     r: int
     serial: bytes
     subspace: Subspace
     members: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    def money_state(self) -> StateVector:
-        """|A>, built from the member memo, which the first call fills. The
-        bundle checked n against the qubit cap when it was built."""
+    def member_indices(self) -> np.ndarray:
+        """A's members, from the memo, which the first call fills."""
         if self.members is None:
             self.members = self.subspace.member_array()
             self.members.setflags(write=False)
-        return uniform_on(self.subspace.n, self.members)
+        return self.members
+
+    def money_state(self) -> StateVector:
+        """|A>, built from the member memo. The bundle checked n against the
+        qubit cap when it was built."""
+        return uniform_on(self.subspace.n, self.member_indices())
 
 
 class OracleBundle:
@@ -95,6 +104,7 @@ class OracleBundle:
         self.h_queries = 0
         self.primal_tester = CountedOracle("T_primal")
         self.dual_tester = CountedOracle("T_dual")
+        self._frame_tests: Optional[Tuple[Projector, Projector]] = None
 
     def generator(self, r: int) -> Tuple[bytes, Subspace]:
         """G(r): independent uniform (serial, dim-n/2 subspace) per fresh r."""
@@ -114,6 +124,22 @@ class OracleBundle:
             self._by_r[r] = entry
             self._by_serial[serial] = entry
         return entry
+
+    def frame_tests(self) -> Tuple[Projector, Projector]:
+        """The verifier's primal and dual tests on its n/2 + 1 qubit frame,
+        built on the first call: the mask of the frame's first half, charged
+        to `primal_tester`, and the projector onto the uniform state of that
+        half, charged to `dual_tester`."""
+        if self._frame_tests is None:
+            half = 1 << (self.n // 2)
+            qubits = self.n // 2 + 1
+            mask = np.arange(2 * half) < half
+            mask.setflags(write=False)
+            self._frame_tests = (
+                Projector(qubits, mask=mask, charge_to=self.primal_tester),
+                Projector.onto_state(uniform_on(qubits, np.arange(half)), charge_to=self.dual_tester),
+            )
+        return self._frame_tests
 
     def check_serial(self, serial: bytes) -> bool:
         """H(s): 1 exactly on issued serial numbers."""
@@ -186,20 +212,29 @@ def verify_circuit(bundle: OracleBundle, serial: bytes, state: StateVector, rng:
 
     Rejects invalid serials outright; otherwise charges exactly one primal
     and one dual query, and accepts a pure state with probability equal to
-    its squared overlap with the money state. The dual query is made on A's
-    span: after the primal projection the state lies in the span of A's
-    members, where H P_{A_perp} H acts as |A><A|, so the dual test measures
-    the rank-1 projector onto the money state and needs no transform. After
-    a primal rejection the verdict is already false; the dual test still
-    charges its query and draws its uniform, as the circuit does.
+    its squared overlap with the money state. Both measurements run in the
+    bundle's frame of n/2 + 1 qubits: the state's amplitudes on A's members,
+    in member order, then the amplitude sqrt(1 - p) of the part outside A's
+    span, where p is their squared norm. The primal test keeps the members;
+    after it the state lies in A's span, where H P_{A_perp} H acts as
+    |A><A|, so the dual test is the projector onto the uniform state of the
+    members and needs no transform. After a primal rejection the verdict is
+    already false; the dual test still charges its query and draws its
+    uniform, as the circuit does.
     """
     if not bundle.check_serial(serial):
         return False
-    entry = bundle.lookup(serial)
-    primal = Projector(bundle.n, mask=subspace_mask(entry.subspace), charge_to=bundle.primal_tester)
-    ok1, post, _ = measure_projector(primal, state, rng)
-    on_span = Projector.onto_state(entry.money_state(), charge_to=bundle.dual_tester)
-    ok2, _, _ = measure_projector(on_span, post, rng, keep_post=False)
+    if state.n_qubits != bundle.n:
+        raise ValueError("state and bundle sizes differ")
+    primal, on_a = bundle.frame_tests()
+    members = bundle.lookup(serial).member_indices()
+    amps = np.zeros(2 * len(members), dtype=np.complex128)
+    amps[: len(members)] = state.amps[members]
+    # the same sum the primal measurement takes, so p < 1 leaves a remainder
+    # of at least 2^-26.5 for the rejected branch to normalize
+    amps[len(members)] = np.sqrt(max(0.0, 1.0 - sqnorm(amps)))
+    ok1, post, _ = measure_projector(primal, StateVector._wrap(primal.n_qubits, amps), rng)
+    ok2, _, _ = measure_projector(on_a, post, rng, keep_post=False)
     return ok1 and ok2
 
 
@@ -219,7 +254,7 @@ def verifier_operator_distance(bundle: OracleBundle, serial: bytes) -> float:
     dual_mask = subspace_mask(entry.subspace.dual())
     worst = 0.0
     basis_col = np.zeros(1 << n, dtype=np.complex128)
-    for x in entry.members:  # filled by money_state
+    for x in entry.member_indices():
         basis_col[:] = 0.0
         basis_col[x] = 1.0
         col = walsh_hadamard_raw(basis_col)

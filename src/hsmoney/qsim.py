@@ -183,7 +183,7 @@ def hadamard_all(s: StateVector) -> StateVector:
 # `Projector.project`, `ReflectAboutState.apply`, `measure_projector`,
 # `measure_register` (whose register contraction is an einsum too),
 # `postselect_projector`, `fidelity_to_goal` and `haar_random_state`;
-# `search._Plane`; and advlab's `_orthogonal_partner`, `Counterfeiter` and
+# `search._Plane`; `hsmini.verify_circuit`'s frame; and advlab's `_orthogonal_partner`, `Counterfeiter` and
 # `PlantedCloner`.
 
 

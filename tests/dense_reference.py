@@ -24,8 +24,9 @@ The two-basis verifier here is the full four-step circuit, project,
 transform, project, transform, and returns its post state;
 `hsmoney.qsim.verify_two_basis` and `hsmoney.polyhide.verify_explicit` skip
 the last transform and the dual post state, and
-`hsmoney.hsmini.verify_circuit` makes its dual query on A's span as a rank-1
-measurement with no transform. All return only the verdict.
+`hsmoney.hsmini.verify_circuit` runs both tests in a frame of n/2 + 1
+qubits, A's members plus one remainder amplitude, with its dual query on A's
+span as a rank-1 measurement and no transform. All return only the verdict.
 The counterfeiter here pads the note with a blank second register and
 rotates all 2^(2n) amplitudes; `hsmoney.advlab.Counterfeiter` takes its
 inner products over the note's 2^n amplitudes and adds the rotated note into

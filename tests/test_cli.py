@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from hsmoney import f2lin, polyhide, qsim
+from hsmoney import f2lin, polyhide, privkey, qsim
 from hsmoney.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, _build_parser, main
 from hsmoney.experiments import CATALOG, OPTIONS, ExperimentConfig, ExperimentOutcome, run_experiment
 
@@ -145,9 +145,8 @@ def test_wiesner_subcommands(capsys):
 
 
 def test_wiesner_attacks_take_the_catalog_defaults(tmp_path):
-    # at n=16 and 100 trials one measure-resend hit falls outside the band
-    # (seed 2 fails there), so the attacks leave n and trials to their
-    # catalog entries, as mint and verify do not
+    # the attacks leave n and trials to their catalog entries, as mint and
+    # verify do not
     for name in ("attack-adaptive", "attack-clone"):
         args = _build_parser().parse_args(["wiesner", name])
         assert (args.n, args.trials) == (None, None)
@@ -157,6 +156,41 @@ def test_wiesner_attacks_take_the_catalog_defaults(tmp_path):
     assert main(["wiesner", "attack-clone", "--seed", "2", "--out", str(out)]) == EXIT_OK
     header = json.loads(out.read_text().splitlines()[0])
     assert header["params"] == {option: spec.default for option, spec in CATALOG["attack-clone"].options.items()}
+
+
+def _skewed_resend(keep: float, guess: float):
+    """Measure-and-resend that, per qubit, copies the code exactly with
+    probability keep and resends a uniformly random one of the four states
+    with probability guess: both copies pass with keep + 3 guess / 8 +
+    5 (1 - keep - guess) / 8 per qubit."""
+    def clone(note, rng):
+        codes = []
+        for c in note.qubits:
+            u = rng.random()
+            if u < keep:
+                codes.append(c)
+            elif u < keep + guess:
+                codes.append(int(rng.integers(0, 4)))
+            else:
+                codes.append(c if c in (0, 1) else int(rng.integers(0, 2)))
+        return privkey.WiesnerNote(note.serial, list(codes)), privkey.WiesnerNote(note.serial, list(codes))
+
+    return clone
+
+
+def test_attack_clone_gates_on_the_exact_binomial_tail(tmp_path, monkeypatch):
+    # at n=16 and 100 trials the expected hit count is 0.054, and seed 2 makes
+    # one hit: P[X >= 1] = 0.053, far above the 3.2e-5 the gate asks of each
+    # tail (half the two-sided 4-sigma level)
+    out = tmp_path / "clone.jsonl"
+    assert main(["run", "attack-clone", "--n", "16", "--trials", "100", "--seed", "2", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text().splitlines()[2])["rate"] == 0.01
+    # at the catalog's n=8 and 2000 trials (46.6 hits expected) a cloner
+    # whose per-qubit rate is not 5/8 still fails, above or below it
+    cfg = ExperimentConfig(experiment="attack-clone", n=8, trials=2000, seed=3)
+    for (keep, guess), ok in {(0.0, 0.0): True, (0.2, 0.0): False, (0.0, 0.4): False}.items():
+        monkeypatch.setattr(privkey, "measure_resend_clone", _skewed_resend(keep, guess))
+        assert run_experiment(cfg).ok is ok, (keep, guess)
 
 
 def test_keyed_subcommands(capsys):

@@ -1,6 +1,7 @@
 """Oracle bundle, four-step verifier, and instance randomization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,18 @@ def _differential_state(kind, b, note, rng):
         # half its weight off A: the primal projection changes the state
         _, perturbed = _differential_state("phase-perturbed", b, note, rng)
         return note.serial, StateVector(n, (perturbed.amps + junk.amps) / np.sqrt(2.0))
+    if kind == "inside-a-nonuniform":
+        # all weight on A, so the primal test accepts, but not uniform, so
+        # the dual test can reject
+        members = b.lookup(note.serial).member_indices()
+        v = np.zeros(1 << n, dtype=np.complex128)
+        v[members] = rng.normal(size=len(members)) + 1j * rng.normal(size=len(members))
+        return note.serial, StateVector(n, v / np.linalg.norm(v))
+    if kind == "a-plus-outside":
+        # (|A> + |x>) / sqrt(2) for one x outside A: p1 = 1/2, then dual = 1
+        sub = b.lookup(note.serial).subspace
+        x = next(x for x in range(1, 1 << n) if not sub.contains(x))
+        return note.serial, StateVector(n, (amps + StateVector.basis(n, x).amps) / np.sqrt(2.0))
     assert kind == "unissued-serial"
     serial = bytes(len(note.serial))
     while b.lookup(serial) is not None:
@@ -373,13 +386,15 @@ def _differential_state(kind, b, note, rng):
 
 
 _DIFFERENTIAL_KINDS = (
-    "honest", "phase-perturbed", "perturbed-2pct", "haar", "junk-basis-state", "half-junk", "unissued-serial",
+    "honest", "phase-perturbed", "perturbed-2pct", "haar", "junk-basis-state", "half-junk",
+    "inside-a-nonuniform", "a-plus-outside", "unissued-serial",
 )
 
 
-@pytest.mark.parametrize("n, seeds", [(8, range(30)), (16, range(2))], ids=["n8", "n16"])
+@pytest.mark.parametrize("n, seeds", [(2, range(30)), (8, range(30)), (16, range(2))], ids=["n2", "n8", "n16"])
 def test_boolean_verify_matches_the_full_circuit(n, seeds):
-    # the boolean verifier makes its dual query on A's span with no transform;
+    # the boolean verifier measures in a frame of A's members plus one
+    # remainder amplitude, with no transform (at n=2 the frame has 2 qubits);
     # its verdict, draws and query charges must be the four-step circuit's
     verdicts = set()
     for seed in seeds:
@@ -399,9 +414,55 @@ def test_boolean_verify_matches_the_full_circuit(n, seeds):
             verdicts.add((kind, runs[0][0]))
     # the cases reach both verdicts wherever the state allows it
     assert {("honest", True), ("junk-basis-state", False), ("unissued-serial", False)} <= verdicts
+    if n < 16:
+        assert {("inside-a-nonuniform", True), ("inside-a-nonuniform", False), ("a-plus-outside", True),
+                ("a-plus-outside", False)} <= verdicts
     if n == 8:
         assert {("phase-perturbed", True), ("phase-perturbed", False), ("half-junk", True),
                 ("half-junk", False)} <= verdicts
+
+
+def test_verify_allocates_no_dense_array():
+    # one n=16 verification measures an 8 KiB frame; a single 2^16-amplitude
+    # array would be 1 MiB
+    rng = np.random.default_rng(77)
+    b = hsmini.OracleBundle(16, rng)
+    note = hsmini.bank(b, rng)
+    states = (note.state, _differential_state("junk-basis-state", b, note, rng)[1])
+    hsmini.verify_circuit(b, note.serial, note.state, rng)  # builds the bundle's frame tests
+    for state in states:
+        tracemalloc.start()
+        try:
+            hsmini.verify_circuit(b, note.serial, state, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def test_primal_rejection_inside_a_does_not_raise():
+    # a state inside A whose norm is 1 - 1e-12 rejects the primal test only
+    # on a draw above 1 - 2e-12. The dense circuit's rejected branch is then
+    # the zero vector and raises; the frame's remainder amplitude is 1.4e-6
+    class LastDraw:
+        def random(self):
+            return np.nextafter(1.0, 0.0)
+
+    rng = np.random.default_rng(78)
+    b = hsmini.OracleBundle(8, rng)
+    note = hsmini.bank(b, rng)
+    short = StateVector(8, note.state.amps * (1 - 1e-12))
+    assert not hsmini.verify_circuit(b, note.serial, short, LastDraw())
+    with pytest.raises(ValueError, match="zero-probability branch"):
+        dense_reference.verify_circuit(b, note.serial, short, LastDraw())
+    assert (b.primal_tester.query_count, b.dual_tester.query_count) == (2, 1)
+
+
+def test_verify_rejects_a_state_of_another_size(bundle):
+    b, rng = bundle
+    note = hsmini.bank(b, rng)
+    with pytest.raises(ValueError, match="sizes differ"):
+        hsmini.verify_circuit(b, note.serial, StateVector.basis(6, 0), rng)
 
 
 def test_neighbor_collision_bound_sampled():
