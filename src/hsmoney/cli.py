@@ -17,7 +17,7 @@ from typing import List, Optional, get_args, get_type_hints
 
 import numpy as np
 
-from . import f2lin, hsmini, polyhide, privkey
+from . import config, f2lin, hsmini, polyhide, privkey
 from .experiments import CATALOG, OPTIONS, ExperimentConfig, configure, run_experiment
 from .qsim import StateVector
 
@@ -291,6 +291,7 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     # the one error boundary: bad flags, bad input, unreadable or unwritable
     # files and unknown keys end in one line on stderr and exit code 2
+    config.keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)

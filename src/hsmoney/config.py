@@ -8,6 +8,7 @@ stay feasible on one machine.
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 # Ambient dimension cap for GF(2) linear algebra. Enumeration-based tests
 # walk all 2^n vectors, so this stays small.
@@ -23,6 +24,38 @@ def qubit_cap() -> int:
     if raw is None:
         return 20
     return int(raw)
+
+
+# glibc `mallopt` parameters, and the values a run sets. By default glibc
+# serves each 1 MiB amplitude array from a fresh mapping and returns the heap
+# above 128 KiB of free memory to the kernel, so every new array is
+# page-faulted in again. Arrays below 32 MiB (above a 2^20-amplitude array)
+# now come from the heap, which keeps up to 64 MiB free before trimming.
+# Setting only one of the two faulted more than the defaults.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_THRESHOLDS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+_freed_memory_kept: Optional[bool] = None
+
+
+def keep_freed_memory() -> bool:
+    """Keep freed buffers in this process's heap for reuse, once per process
+    (forked pool workers inherit it). Returns whether glibc took both
+    thresholds; where `mallopt` is missing (musl, macOS, Windows) nothing is
+    set and it returns False. The setting is process-wide and not restored,
+    as glibc has no getter for it; it changes only when freed memory goes
+    back to the kernel, never a result."""
+    global _freed_memory_kept
+    if _freed_memory_kept is None:
+        import ctypes  # here, not at import: a process that runs nothing pays nothing
+
+        try:
+            mallopt = ctypes.CDLL("libc.so.6").mallopt
+        except (OSError, AttributeError):
+            _freed_memory_kept = False
+        else:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            _freed_memory_kept = all([mallopt(param, value) == 1 for param, value in _HEAP_THRESHOLDS])
+    return _freed_memory_kept
 
 
 # Qubit cap of a Wiesner note. Its qubits are unentangled, so no 2^n object

@@ -867,5 +867,6 @@ def configure(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
+    config.keep_freed_memory()
     cfg = configure(cfg)
     return CATALOG[cfg.experiment].runner(cfg)

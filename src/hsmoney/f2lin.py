@@ -256,7 +256,8 @@ def _insert_reduced(reduced: Dict[int, int], x: int) -> bool:
 def complete_basis(a: Subspace, rng: np.random.Generator) -> List[int]:
     """A's reduced basis, then uniform candidates kept when they leave the
     span so far. Each round draws one block of the candidates still certain
-    to be needed, the same values and generator state as scalar draws."""
+    to be needed (a scalar for the last), the same values and generator
+    state as scalar draws."""
     basis: List[int] = list(a.basis)
     # reduced rows keyed by their lowest set bit: reducing a candidate
     # against them clears its lowest bit at each step, so it takes at most n
@@ -265,7 +266,12 @@ def complete_basis(a: Subspace, rng: np.random.Generator) -> List[int]:
     for vec in a.basis:
         _insert_reduced(reduced, vec)
     while len(basis) < a.n:
-        for cand in rng.integers(0, 1 << a.n, size=a.n - len(basis)).tolist():
+        missing = a.n - len(basis)
+        if missing == 1:  # a scalar draw: a block of one's value and stream, at half its cost
+            cands = [int(rng.integers(0, 1 << a.n))]
+        else:
+            cands = rng.integers(0, 1 << a.n, size=missing).tolist()
+        for cand in cands:
             if _insert_reduced(reduced, cand):
                 basis.append(cand)
     return basis

@@ -108,23 +108,23 @@ def _allowed_masks(n: int, frame_dim: int, d: int) -> np.ndarray:
     return idx[(pc <= d) & ((idx & high) != 0)]
 
 
-def _frame_coeff_batch(
-    a: Subspace, d: int, count: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, Optional[List[int]]]:
-    """count uniform samples from the vanishing ideal of the coordinate frame
-    of dimension dim(A), as ANF coefficient rows (each admissible monomial
-    independently with probability 1/2), and a completed basis whose first
+def _draw_frame_coeffs(
+    a: Subspace, d: int, coeffs: np.ndarray, rng: np.random.Generator
+) -> Optional[List[int]]:
+    """Fill the zero (count, 2^n) table `coeffs` with count uniform samples
+    from the vanishing ideal of the coordinate frame of dimension dim(A), as
+    ANF coefficient rows (each admissible monomial independently with
+    probability 1/2), in one draw; return a completed basis whose first
     dim(A) vectors span A, or None when A is that frame (as the zero and the
     full space are)."""
     if d < 1:
         raise ValueError("degree bound must be at least 1")
     allowed = _allowed_masks(a.n, a.dim, d)
-    coeffs = np.zeros((count, 1 << a.n), dtype=np.uint8)
     if len(allowed):
-        coeffs[:, allowed] = rng.integers(0, 2, size=(count, len(allowed)), dtype=np.uint8)
+        coeffs[:, allowed] = rng.integers(0, 2, size=(len(coeffs), len(allowed)), dtype=np.uint8)
     if a.basis == tuple(1 << i for i in range(a.dim)):
-        return coeffs, None
-    return coeffs, complete_basis(a, rng)
+        return None
+    return complete_basis(a, rng)
 
 
 def _move_points(coeffs: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -152,7 +152,8 @@ def _vanishing_coeff_batch(
     Samples in the coordinate frame, then moves truth tables through a basis
     map sending the coordinate frame onto the subspace.
     """
-    coeffs, basis = _frame_coeff_batch(a, d, count, rng)
+    coeffs = np.zeros((count, 1 << a.n), dtype=np.uint8)
+    basis = _draw_frame_coeffs(a, d, coeffs, rng)
     return coeffs if basis is None else _move_points(coeffs, point_tables(np.array([basis])))
 
 
@@ -168,9 +169,9 @@ def _decoy_coeff_rows(
     bases: List[List[int]] = []
     for i in range(count):
         decoy = random_subspace(n, dim, rng)
-        # one coefficient draw per decoy: a uint8 block is another stream than per-row calls
-        row, basis = _frame_coeff_batch(decoy, d, 1, rng)
-        coeffs[i] = row[0]
+        # one coefficient draw per decoy, into its own row: a uint8 block
+        # is another stream than per-row calls
+        basis = _draw_frame_coeffs(decoy, d, coeffs[i:i + 1], rng)
         if basis is not None:
             moved.append(i)
             bases.append(basis)

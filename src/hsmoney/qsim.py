@@ -79,7 +79,7 @@ class StateVector:
     def tensor(self, other: "StateVector") -> "StateVector":
         # other's index bits go above self's: index = x_self + 2^n * y_other
         check_qubits(self.n_qubits + other.n_qubits)
-        joint = np.kron(other.amps, self.amps)
+        joint = np.outer(other.amps, self.amps).reshape(-1)
         return StateVector._wrap(self.n_qubits + other.n_qubits, joint)
 
     def dump(self) -> str:

@@ -100,17 +100,19 @@ class _Plane:
     A state alpha g + beta r of the plane is held as its coefficients."""
 
     def __init__(self, goal: Projector, start: StateVector):
-        self.n_qubits = start.n_qubits
+        self.start = start
         self.kept = goal.project(start.amps)
-        self.rest = start.amps - self.kept
         self.a = math.sqrt(sqnorm(self.kept))
-        self.b = math.sqrt(sqnorm(self.rest))
+        self.b = math.sqrt(sqnorm(start.amps - self.kept))
 
     def state(self, alpha: float, beta: float) -> StateVector:
-        """alpha g + beta r; a part of zero norm is all zeros and adds nothing."""
-        amps = (alpha / self.a if self.a > 0 else 0.0) * self.kept
-        amps += (beta / self.b if self.b > 0 else 0.0) * self.rest
-        return StateVector._wrap(self.n_qubits, amps)
+        """alpha g + beta r; a part of zero norm is all zeros and adds nothing.
+        (I - P) psi is rebuilt here, so a plane holds one array beside its
+        start state, not two."""
+        amps = self.start.amps - self.kept
+        np.multiply(amps, beta / self.b if self.b > 0 else 0.0, out=amps)
+        amps += (alpha / self.a if self.a > 0 else 0.0) * self.kept
+        return StateVector._wrap(self.start.n_qubits, amps)
 
 
 def _measure_in_plane(

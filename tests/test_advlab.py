@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ def test_amplify_trial_makes_no_blas_vector_call(monkeypatch, eps, delta):
     with pytest.raises(AssertionError, match="vdot"):
         np.vdot(np.zeros(1 << 14), np.zeros(1 << 14))
     assert experiments.trial_amplify(cfg, 0, np.random.default_rng(170)) == want
+
+
+@pytest.mark.parametrize("eps, delta, arrays", [(0.2, 0.05, 5), (0.01, 0.5, 6)], ids=["fixed-point", "hybrid"])
+def test_amplification_peak_memory_in_register_arrays(eps, delta, arrays):
+    # at n=8 a register array is 2^16 amplitudes (1 MiB); the search plane
+    # keeps its start state and P psi, not (I - P) psi beside them
+    rng = np.random.default_rng(171)
+    scheme = hsmini.HsMiniScheme(hsmini.OracleBundle(8, rng))
+    note = scheme.bank(rng)
+    cloner = PlantedCloner(scheme.target_state(note.serial), eps)
+    tracemalloc.start()
+    try:
+        amplify_counterfeiter(cloner, scheme, note, eps, delta, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (arrays + 0.5) * (16 << 16)
 
 
 def test_relation_sampling_properties():

@@ -258,3 +258,31 @@ def test_complete_to_invertible_matches_rref_reference():
             assert fast.bit_generator.state == slow.bit_generator.state
 
 
+
+
+class _DrawSizes:
+    """A generator stand-in that records the size of every `integers` call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.sizes = rng, []
+
+    def integers(self, low, high, size=None):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size)
+
+
+def test_complete_basis_draws_the_last_candidate_as_a_scalar():
+    """With one vector missing, a scalar draw, never a block of one, with the
+    map and generator state of the scalar reference; dimension n - 1 starts
+    there, and each rejected last candidate returns to it."""
+    scalars = 0
+    for seed in range(300):
+        n = 1 + seed % 16
+        a = f2lin.random_subspace(n, max(0, n - 1 - seed % 3), np.random.default_rng([seed, n]))
+        fast, slow = _DrawSizes(np.random.default_rng(seed)), np.random.default_rng(seed)
+        basis = f2lin.complete_basis(a, fast)
+        assert LinMap(n, tuple(basis)).transpose() == dense_reference.complete_to_invertible(a, slow)
+        assert fast.rng.bit_generator.state == slow.bit_generator.state
+        assert 1 not in fast.sizes
+        scalars += fast.sizes.count(None)
+    assert scalars > 300

@@ -131,6 +131,19 @@ def test_noisy_rows_match_the_inverse_gather_reference(n, dim, d, m, eps):
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def test_decoys_draw_into_their_rows_as_the_reference_does():
+    """Each decoy's coefficients are drawn straight into its row of the table,
+    one draw per decoy: the rows and generator state of drawing and moving
+    every decoy on its own."""
+    for seed in range(150):
+        n = 2 + seed % 7
+        dim, d, count = seed % (n + 1), 1 + seed % 4, 1 + seed % 5
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = polyhide._decoy_coeff_rows(n, dim, d, count, fast)
+        assert np.array_equal(rows, dense_reference.decoy_coeff_rows(n, dim, d, count, slow))
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
 def _moved(p: dense_reference.MultilinearPoly, m: LinMap) -> np.ndarray:
     """p's coefficient row moved through M's point table, by the one-table
     gather; the own-table scatter of a two-row batch must agree."""

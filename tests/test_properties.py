@@ -1,7 +1,7 @@
 """Property tests: serialization round trips, involutions and algebraic
 identities over randomly drawn small instances (n <= 8; n <= 16 for the
-block-drawn subspaces and basis completions), and a fuzz of the note reader
-on mutations of one minted system."""
+block-drawn subspaces and basis completions), and fuzzes of the note and
+state readers on mutations of one minted system and one dumped state."""
 
 from functools import lru_cache
 
@@ -11,11 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense_reference
+from hsmoney.config import ATOL
 from hsmoney.f2lin import LinMap, Subspace, complete_basis, random_subspace
 from hsmoney.hsmini import OracleBundle
 from hsmoney.money import LamportMerkleSigner, MalformedSignatureError
 from hsmoney.polyhide import PolySystem, bank_explicit_with_secret, xor_mobius_inplace
-from hsmoney.qsim import StateVector, walsh_hadamard_raw
+from hsmoney.qsim import StateVector, haar_random_state, sqnorm, walsh_hadamard_raw
 
 small = settings(max_examples=40, deadline=None)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -182,19 +183,27 @@ def _note_text():
     return note.primal_system.serialize()
 
 
+@lru_cache(maxsize=1)
+def _state_text():
+    return haar_random_state(4, np.random.default_rng(9)).dump()
+
+
+NOTE_TOKENS = ["x", "x6", "x-1", "x0.x0", ".", ",", "=", "1", "-", " ", "\n", "n=8", "m=0",
+               "d=99", "eps=nan", "eps=1e999", "x0.x1.x2.x3.x4"]
+STATE_TOKENS = ["n=", "n=4", "n=99", "n=0", "n=-1", "nan", "inf", "-inf", "1e999", "1j", "0x10",
+                "16", "15", "-1", "0", ".", "e", " ", "\n"]
+
+
 @st.composite
-def mutated_notes(draw):
-    """A minted n=6 system's text with a token inserted, a span deleted, or
-    its lines duplicated or shuffled."""
-    text = _note_text()
+def mutated(draw, source, tokens):
+    """The text `source()` with a token (one of `tokens` or any short text)
+    inserted, a span deleted, or its lines duplicated or shuffled."""
+    text = source()
     lines = text.splitlines(keepends=True)
     kind = draw(st.sampled_from(["insert", "delete", "duplicate", "shuffle"]))
     if kind == "insert":
         at = draw(st.integers(0, len(text)))
-        token = draw(st.one_of(
-            st.sampled_from(["x", "x6", "x-1", "x0.x0", ".", ",", "=", "1", "-", " ", "\n", "n=8", "m=0",
-                             "d=99", "eps=nan", "eps=1e999", "x0.x1.x2.x3.x4"]),
-            st.text(max_size=6)))
+        token = draw(st.one_of(st.sampled_from(tokens), st.text(max_size=6)))
         return text[:at] + token + text[at:]
     if kind == "delete":
         start = draw(st.integers(0, len(text)))
@@ -206,7 +215,7 @@ def mutated_notes(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(mutated_notes())
+@given(mutated(_note_text, NOTE_TOKENS))
 def test_note_reader_loads_or_refuses_mutated_notes(text):
     # a mutated note is read as some system or refused by ValueError, which
     # the command line turns into one error line and exit 2; nothing else escapes
@@ -215,3 +224,14 @@ def test_note_reader_loads_or_refuses_mutated_notes(text):
     except ValueError:
         return
     assert system.coeffs.shape == (system.m, 1 << system.n_vars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(_state_text, STATE_TOKENS))
+def test_state_reader_loads_or_refuses_mutated_dumps(text):
+    # the same for a dumped n=4 state: it loads as a unit vector or is refused
+    try:
+        state = StateVector.load(text)
+    except ValueError:
+        return
+    assert abs(sqnorm(state.amps) - 1) <= ATOL

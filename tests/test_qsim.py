@@ -335,6 +335,19 @@ def test_tensor_register_layout():
     assert joint.amps[0b01 | (0b10 << 2)] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n_low, n_high", [(1, 1), (1, 4), (3, 2), (5, 5), (8, 8)])
+def test_tensor_is_np_kron_bit_for_bit(n_low, n_high):
+    # the outer product takes the same complex products as np.kron, signed zeros included
+    rng = np.random.default_rng([n_low, n_high])
+    lows = [haar_random_state(n_low, rng), StateVector.basis(n_low, (1 << n_low) - 1)]
+    highs = [haar_random_state(n_high, rng), hadamard_all(StateVector.basis(n_high, 1))]
+    for low in lows:
+        for high in highs:
+            joint = low.tensor(high)
+            assert joint.n_qubits == n_low + n_high
+            assert np.array_equal(joint.amps.view(np.uint64), np.kron(high.amps, low.amps).view(np.uint64))
+
+
 class _FixedDraw:
     """Stand-in generator whose every uniform draw is u."""
 
