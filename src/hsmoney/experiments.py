@@ -691,7 +691,7 @@ def run_money_end_to_end(cfg: ExperimentConfig) -> ExperimentOutcome:
 _SCHEDULE_CAP = 1 << 24
 # Most trials: all their seeds are built first; money-end-to-end signs a note per leaf of 2^16.
 _TRIALS_CAP = 1 << 16
-# Most bytes of a composite note's k dense sub-notes, built as notes and again as stacked targets.
+# Most bytes of a composite note's k sub-notes when each is dense, as a counterfeiter's may be.
 _NOTES_BYTES_CAP = 1 << 30
 # Most sub-note verifications of completeness-amplification; its defaults make 660,000.
 _COMPOSITE_WORK_CAP = 1 << 20

@@ -81,7 +81,16 @@ class Subspace:
         _check_dim(self.n)
         for r in self.basis:
             _check_vec(r, self.n)
-        if self.basis != rref(self.basis, self.n):
+        # `rref` returns exactly such a tuple: nonzero rows whose pivots
+        # (lowest set bits) strictly increase, no row holding another's pivot
+        pivots = [r & -r for r in self.basis]
+        held = sum(pivots)
+        if not (
+            isinstance(self.basis, tuple)
+            and all(pivots)
+            and all(p < q for p, q in zip(pivots, pivots[1:]))
+            and all(r & held == p for r, p in zip(self.basis, pivots))
+        ):
             raise ValueError("basis is not in reduced row echelon form")
 
     @classmethod

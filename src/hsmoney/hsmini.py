@@ -24,7 +24,9 @@ int64 values (128 B at n=8, 2 KiB at n=16), filled by the first `bank`,
 `verify_circuit` or `HsMiniScheme.target_state` call for the serial.
 Re-minting a serial and repeated verifications of it, as in threshold
 repetition over a composite note, then read the memo without enumerating the
-subspace again. Dense money states are not memoised.
+subspace again. A money state is `qsim.uniform_on` over that memo: it holds
+the members and no amplitudes until something reads them, and verifying it
+under its own serial reads none. No state is memoised per serial.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ class BundleEntry:
         return self.members
 
     def money_state(self) -> StateVector:
-        """|A>, built from the member memo. The bundle checked n against the
-        qubit cap when it was built."""
+        """|A>, held as the member memo itself. The bundle checked n against
+        the qubit cap when it was built."""
         return uniform_on(self.subspace.n, self.member_indices())
 
 
@@ -220,7 +222,9 @@ def verify_circuit(bundle: OracleBundle, serial: bytes, state: StateVector, rng:
     |A><A|, so the dual test is the projector onto the uniform state of the
     members and needs no transform. After a primal rejection the verdict is
     already false; the dual test still charges its query and draws its
-    uniform, as the circuit does.
+    uniform, as the circuit does. An honest note, whose members are the
+    serial's member memo, fills the frame's first half with |A|^(-1/2), the
+    doubles its amplitudes hold there, and is not densified.
     """
     if not bundle.check_serial(serial):
         return False
@@ -229,7 +233,7 @@ def verify_circuit(bundle: OracleBundle, serial: bytes, state: StateVector, rng:
     primal, on_a = bundle.frame_tests()
     members = bundle.lookup(serial).member_indices()
     amps = np.zeros(2 * len(members), dtype=np.complex128)
-    amps[: len(members)] = state.amps[members]
+    amps[: len(members)] = len(members) ** -0.5 if state.members is members else state.amps[members]
     # the same sum the primal measurement takes, so p < 1 leaves a remainder
     # of at least 2^-26.5 for the rejected branch to normalize
     amps[len(members)] = np.sqrt(max(0.0, 1.0 - sqnorm(amps)))

@@ -405,15 +405,14 @@ class ArtificiallyNoisyScheme(MiniScheme):
     Verification measures {|t><t|, I - |t><t|} for the base scheme's target
     t and, on acceptance, tosses the coins of `reject_rates`, this wrapper's
     first and the base's after it; an unissued serial rejects without a draw.
-    `verify_all` is the boolean verifier: it takes every p_i = |<t_i|psi_i>|^2
-    of a batch from one contraction of the stacked amplitudes, then makes
-    each sub-note's draws in index order, one uniform against p_i and the
-    coins only on acceptance, as one measurement after another would.
-    `verify` is its one-note case. Threshold repetition verifies one
-    composite note many times, so two memos are kept: the conjugated targets
-    of the last serial tuple, k 2^n complex values, the size of the note
-    itself; and the probabilities of the last note, keyed on its serials and
-    on the identity of its immutable states, which the memo holds.
+    `verify_all` is the boolean verifier: it takes every
+    p_i = |<t_i|psi_i>|^2 of a batch, from t_i's members when t_i is a
+    money state (`StateVector.inner`), then makes each sub-note's draws in
+    index order, one uniform against p_i and the coins only on acceptance,
+    as one measurement after another would. `verify` is its one-note case.
+    Threshold repetition verifies one composite note many times, so the
+    probabilities of the last note are memoised, keyed on its serials and on
+    the identity of its immutable states, which the memo holds.
     """
 
     def __init__(self, base: MiniScheme, extra_reject: float):
@@ -423,28 +422,15 @@ class ArtificiallyNoisyScheme(MiniScheme):
         self.reject_rates = (extra_reject,) + base.reject_rates
         self.n = base.n
         self.completeness_error = 1 - (1 - base.completeness_error) * (1 - extra_reject)
-        # (serials, issued flags, conjugated targets one row each)
-        self._stacked: Tuple[Tuple[bytes, ...], List[bool], np.ndarray] = ((), [], np.zeros((0, 1 << self.n)))
         # (serials, ids of the states, the states, the issued sub-notes' p_i)
         self._probs: Tuple[Tuple[bytes, ...], Tuple[int, ...], Tuple[StateVector, ...], List[float]] = (
             (), (), (), [])
 
-    def _stacked_targets(self, serials: Tuple[bytes, ...]) -> Tuple[List[bool], np.ndarray]:
-        if self._stacked[0] != serials:
-            targets = [self.target_state(serial) for serial in serials]
-            conj = np.zeros((len(serials), 1 << self.n), dtype=np.complex128)
-            for row, target in zip(conj, targets):
-                if target is not None:
-                    np.conjugate(target.amps, out=row)
-            self._stacked = (serials, [t is not None for t in targets], conj)
-        return self._stacked[1:]
-
     def _probabilities(self, serials: Tuple[bytes, ...], states: Tuple[StateVector, ...]) -> List[float]:
         ids = tuple(map(id, states))
         if self._probs[:2] != (serials, ids):
-            issued, conj = self._stacked_targets(serials)
-            overlaps = np.einsum("ij,ij->i", conj, np.stack([s.amps for s in states]))
-            probs = [p for ok, p in zip(issued, (np.abs(overlaps) ** 2).tolist()) if ok]
+            targets = map(self.target_state, serials)
+            probs = [abs(t.inner(s)) ** 2 for t, s in zip(targets, states) if t is not None]
             self._probs = (serials, ids, states, probs)
         return self._probs[3]
 

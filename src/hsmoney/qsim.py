@@ -1,9 +1,15 @@
-"""Dense statevector simulation with query-counted oracles.
+"""Statevector simulation with query-counted oracles.
 
 Index convention: bit i of a basis-state index is qubit i (little endian),
 matching the F_2^n vector convention in `f2lin`, so a subspace element is
 directly an amplitude index. All operations return new states; amplitudes
 are frozen after construction.
+
+A state holds its 2^n complex amplitudes, or, when `uniform_on` made it
+(every money state and `subspace_state`), only the sorted basis indices it
+is uniform on: 2^(n/2) members for a money state. Such a member-backed state
+builds its amplitudes on the first read of `amps` and keeps them; until
+then `StateVector.inner` takes an overlap with it as a sum over its members.
 
 The qubit cap (`config.qubit_cap()`) is checked where a qubit count enters:
 the public constructor, `basis`, `uniform`, `tensor`, `subspace_state`,
@@ -30,9 +36,15 @@ def check_qubits(n: int) -> None:
 
 
 class StateVector:
-    """Immutable n-qubit pure state; 2^n complex amplitudes."""
+    """Immutable n-qubit pure state: 2^n complex amplitudes, or the uniform
+    superposition over `members`.
 
-    __slots__ = ("n_qubits", "amps")
+    `members` is None for a state built from amplitudes. A state made by
+    `uniform_on` holds in `members` its read-only, sorted, distinct basis
+    indices, and builds `amps` from them on the first read: zeros, then
+    |members|^(-1/2) on each member."""
+
+    __slots__ = ("n_qubits", "members", "_amps")
 
     def __init__(self, n_qubits: int, amps: np.ndarray, _checked: bool = False):
         if not _checked:
@@ -47,7 +59,23 @@ class StateVector:
                 raise ValueError(f"state norm {norm} deviates from 1 beyond {config.ATOL}")
         amps.setflags(write=False)
         self.n_qubits = n_qubits
-        self.amps = amps
+        self.members: Optional[np.ndarray] = None
+        self._amps: Optional[np.ndarray] = amps
+
+    @property
+    def amps(self) -> np.ndarray:
+        if self._amps is None:
+            amps = np.zeros(1 << self.n_qubits, dtype=np.complex128)
+            amps[self.members] = len(self.members) ** -0.5
+            amps.setflags(write=False)
+            self._amps = amps
+        return self._amps
+
+    def __reduce__(self):
+        # a member-backed state travels as its members, not its amplitudes
+        if self.members is not None:
+            return uniform_on, (self.n_qubits, self.members)
+        return StateVector._wrap, (self.n_qubits, self._amps)
 
     @classmethod
     def _wrap(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
@@ -69,8 +97,17 @@ class StateVector:
         return cls._wrap(n_qubits, np.full(dim, dim ** -0.5, dtype=np.complex128))
 
     def inner(self, other: "StateVector") -> complex:
+        """<self|other>. A member-backed side A gives <A|psi> =
+        |A|^(-1/2) sum_{a in A} psi(a), exactly 1 when both sides hold the
+        same members array, without building A's amplitudes."""
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit counts differ")
+        if self.members is not None:
+            if other.members is self.members:
+                return 1.0 + 0.0j
+            return len(self.members) ** -0.5 * complex(other.amps[self.members].sum())
+        if other.members is not None:
+            return other.inner(self).conjugate()
         return vdot(self.amps, other.amps)
 
     def overlap(self, other: "StateVector") -> float:
@@ -128,11 +165,17 @@ def subspace_state(a: Subspace) -> StateVector:
 
 
 def uniform_on(n_qubits: int, members: np.ndarray) -> StateVector:
-    """Uniform superposition over the given distinct basis indices; the
-    caller has checked n_qubits against the cap."""
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[members] = len(members) ** -0.5
-    return StateVector._wrap(n_qubits, amps)
+    """Uniform superposition over the given sorted, distinct basis indices,
+    held as those members until its amplitudes are read. The state keeps
+    `members` itself and makes it read-only; the caller has checked n_qubits
+    against the cap."""
+    if members.flags.writeable:  # a memo passed again is read-only already
+        members.setflags(write=False)
+    state = StateVector.__new__(StateVector)
+    state.n_qubits = n_qubits
+    state.members = members
+    state._amps = None
+    return state
 
 
 # Sylvester Hadamard matrix H_2^{(x)4}: entry (x, y) is (-1)^{popcount(x & y)}.

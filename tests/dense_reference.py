@@ -16,10 +16,10 @@ The Walsh-Hadamard transform here is one radix-2 butterfly per qubit;
 `hsmoney.qsim.walsh_hadamard_raw` takes four qubits per `matmul` pass.
 Threshold repetition here measures each rank-1 sub-note on its own;
 `hsmoney.money.ArtificiallyNoisyScheme.verify_all` takes every acceptance
-probability of a composite note from one stacked contraction and draws its
-uniforms in blocks. The binomial tail here is a sum of `Fraction` terms;
-`hsmoney.money.CompositeScheme.exact_completeness_error` sums integers over
-one power-of-two denominator.
+probability of a composite note first, from each money-state target's
+members, and draws its uniforms in blocks. The binomial tail here is a sum
+of `Fraction` terms; `hsmoney.money.CompositeScheme.exact_completeness_error`
+sums integers over one power-of-two denominator.
 The two-basis verifier here is the full four-step circuit, project,
 transform, project, transform, and returns its post state;
 `hsmoney.qsim.verify_two_basis` and `hsmoney.polyhide.verify_explicit` skip

@@ -1,5 +1,7 @@
 """GF(2) linear algebra: enumeration oracles and canonical-form checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,27 @@ def test_canonical_form_equality():
             rows = [members[int(rng.integers(0, len(members)))] for _ in range(6)]
         b = Subspace.from_rows(rows, 8)
         assert a == b
+
+
+def _accepts(n, basis):
+    try:
+        Subspace(n, basis)
+    except ValueError:
+        return False
+    return True
+
+
+def test_basis_check_is_rref_equality_on_every_small_tuple():
+    # every tuple of up to 3 rows at n <= 4 (5,054 of them): the constructor
+    # accepts exactly the tuples that `rref` leaves unchanged
+    tuples = [(n, basis) for n in range(1, 5) for k in range(4)
+              for basis in itertools.product(range(1 << n), repeat=k)]
+    assert len(tuples) == 5054
+    for n, basis in tuples:
+        assert _accepts(n, basis) == (basis == f2lin.rref(basis, n)), (n, basis)
+    for n, basis in [(3, [0b001]), (3, (0b001, 0b001)), (3, (0b010, 0b001)), (3, (0b011, 0b010)), (3, (0,))]:
+        with pytest.raises(ValueError, match="reduced row echelon"):
+            Subspace(n, basis)
 
 
 def test_linmap_apply_and_identity():

@@ -440,6 +440,40 @@ def test_verify_allocates_no_dense_array():
         assert peak < 64 * 1024
 
 
+def test_minting_and_verifying_an_honest_note_builds_no_dense_array():
+    # the note is its serial's member memo; the verifier's frame reads the
+    # members, not 2^16 amplitudes (1 MiB)
+    tracemalloc.start()
+    try:
+        rng = np.random.default_rng(79)
+        b = hsmini.OracleBundle(16, rng)
+        note = hsmini.bank(b, rng)
+        assert all(hsmini.verify_circuit(b, note.serial, note.state, rng) for _ in range(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert note.state.members is b.lookup(note.serial).members and note.state._amps is None
+
+
+def test_an_honest_note_verifies_as_its_dense_copy_does():
+    # the frame's first half is |A|^(-1/2) either way: the same draws and charges
+    rng = np.random.default_rng(80)
+    b = hsmini.OracleBundle(8, rng)
+    note = hsmini.bank(b, rng)
+    dense = StateVector(8, note.state.amps.copy())
+    assert dense.members is None
+    runs = []
+    for state in (note.state, dense):
+        draws = np.random.default_rng(81)
+        before = (b.primal_tester.query_count, b.dual_tester.query_count)
+        verdicts = [hsmini.verify_circuit(b, note.serial, state, draws) for _ in range(20)]
+        after = (b.primal_tester.query_count, b.dual_tester.query_count)
+        runs.append((verdicts, draws.bit_generator.state, after[0] - before[0], after[1] - before[1]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [True] * 20 and runs[0][2:] == (20, 20)
+
+
 def test_primal_rejection_inside_a_does_not_raise():
     # a state inside A whose norm is 1 - 1e-12 rejects the primal test only
     # on a draw above 1 - 2e-12. The dense circuit's rejected branch is then

@@ -634,69 +634,60 @@ def test_composite_over_a_wrapped_scheme_checks_signatures_first(scheme):
             assert accepts is None or got == accepts
 
 
-def test_stacked_targets_memo_holds_the_last_serial_tuple():
-    base, noisy, comp, rng = _noisy_composite(k=6, extra_reject=0.0)
-    a, b = comp.bank(rng), comp.bank(rng)
-    comp.count_accepts(a, rng)
-    assert noisy._stacked[0] == a.serials
-    comp.count_accepts(b, rng)
-    assert noisy._stacked[0] == b.serials
-    assert noisy._stacked[2].nbytes == 6 * (1 << 8) * 16
-    # equal serials, other states: the probabilities are taken afresh
-    junk = CompositeNote(b.serials, tuple(_junk(base, s, False) for s in b.serials))
-    assert comp.count_accepts(b, rng) == 6
-    assert comp.count_accepts(junk, rng) == 0
-    assert comp.count_accepts(b, rng) == 6
-
-
 def test_probability_memo_is_keyed_on_serials_and_state_identity(monkeypatch):
     base, noisy, comp, rng = _noisy_composite(k=6, extra_reject=0.0)
     note = comp.bank(rng)
-    contractions = []
-    stacked_targets = ArtificiallyNoisyScheme._stacked_targets
+    lookups = []
+    target_state = noisy.target_state
 
-    def spy(self, serials):
-        contractions.append(serials)
-        return stacked_targets(self, serials)
+    def spy(serial):
+        lookups.append(serial)
+        return target_state(serial)
 
-    monkeypatch.setattr(ArtificiallyNoisyScheme, "_stacked_targets", spy)
+    monkeypatch.setattr(noisy, "target_state", spy)
     for _ in range(5):
         assert comp.count_accepts(note, rng) == 6
-    assert len(contractions) == 1
+    assert len(lookups) == 6
     # the same serials and state objects, held in lists: still memoised
     assert comp.count_accepts(CompositeNote(list(note.serials), list(note.states)), rng) == 6
-    assert len(contractions) == 1
+    assert len(lookups) == 6
     # the same serials with another state tuple take fresh probabilities
     junk = CompositeNote(note.serials, tuple(_junk(base, s, False) for s in note.serials))
     assert comp.count_accepts(junk, rng) == 0
     copies = CompositeNote(note.serials, tuple(StateVector(base.n, s.amps) for s in note.states))
     assert comp.count_accepts(copies, rng) == 6
     assert comp.count_accepts(note, rng) == 6
-    assert len(contractions) == 4
+    assert lookups == 4 * list(note.serials)
     # the memo holds the last note's states, so their ids are not reused
     assert noisy._probs[2] == note.states
 
 
-def test_reduction_notes_build_their_stacked_targets_once(monkeypatch):
+def test_honest_sub_notes_accept_with_probability_exactly_one():
+    # each honest state holds its serial's member memo, so p_i = 1 exactly
+    # and no sub-note's amplitudes are built
+    base, noisy, comp, rng = _noisy_composite(k=6, extra_reject=0.0)
+    note = comp.bank(rng)
+    assert noisy._probabilities(note.serials, note.states) == [1.0] * 6
+    assert all(s._amps is None for s in note.states)
+
+
+def test_completeness_amplification_builds_no_dense_honest_note(monkeypatch):
     # the completeness note, then 200 reduction notes each verified twice
-    builds = []
-    stacked_targets = ArtificiallyNoisyScheme._stacked_targets
+    minted = []
+    bank = hsmini.bank
 
-    def spy(self, serials):
-        memo = self._stacked
-        out = stacked_targets(self, serials)
-        if self._stacked is not memo:
-            builds.append((serials, self._stacked[2].nbytes))
-        return out
+    def spy(bundle, rng):
+        note = bank(bundle, rng)
+        minted.append(note.state)
+        return note
 
-    monkeypatch.setattr(ArtificiallyNoisyScheme, "_stacked_targets", spy)
+    monkeypatch.setattr(hsmini, "bank", spy)
     cfg = experiments.ExperimentConfig(
         experiment="completeness-amplification", n=8, eps=0.2, k=60, eta=0.1, trials=3, seed=113,
     )
-    experiments.run_experiment(cfg)
-    assert len(builds) == 1 + 200
-    assert len({serials for serials, _ in builds}) == 201
-    assert all(nbytes == 60 * (1 << 8) * 16 for _, nbytes in builds)
+    assert experiments.run_experiment(cfg).ok
+    assert len(minted) == 60 + 200 * (1 + 60 + 60)
+    assert all(s.members is not None and s._amps is None for s in minted)
 
 
 def _on_an_hs_note(verify):

@@ -1,8 +1,10 @@
 """Property tests: serialization round trips, involutions and algebraic
-identities over randomly drawn small instances (n <= 8; n <= 16 for the
-block-drawn subspaces and basis completions), and fuzzes of the note and
-state readers on mutations of one minted system and one dumped state."""
+identities over randomly drawn small instances (n <= 8; n <= 12 for the
+basis check, n <= 16 for the block-drawn subspaces and basis completions),
+and fuzzes of the note, state and bundle readers on mutations of one minted
+system, one dumped state and one exported bundle."""
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import dense_reference
 from hsmoney.config import ATOL
-from hsmoney.f2lin import LinMap, Subspace, complete_basis, random_subspace
+from hsmoney.f2lin import LinMap, Subspace, complete_basis, random_subspace, rref
 from hsmoney.hsmini import OracleBundle
 from hsmoney.money import LamportMerkleSigner, MalformedSignatureError
 from hsmoney.polyhide import PolySystem, bank_explicit_with_secret, xor_mobius_inplace
@@ -27,6 +29,41 @@ def subspaces(draw, max_n=8):
     n = draw(st.integers(1, max_n))
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
     return Subspace.from_rows(rows, n)
+
+
+@st.composite
+def bases(draw):
+    """(n, rows) at n <= 12: drawn rows, their reduced form, or that form
+    with two rows added, swapped or a bit flipped."""
+    n = draw(st.integers(1, 12))
+    rows = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 1)))
+    reduced = rref(rows, n)
+    kind = draw(st.sampled_from(["drawn", "reduced", "add", "swap", "flip"]))
+    if kind == "drawn":
+        return n, rows
+    if kind == "reduced" or not reduced:
+        return n, reduced
+    out = list(reduced)
+    i, j = draw(st.integers(0, len(out) - 1)), draw(st.integers(0, len(out) - 1))
+    if kind == "add":
+        out[i] ^= out[j]
+    elif kind == "swap":
+        out[i], out[j] = out[j], out[i]
+    elif kind == "flip":
+        out[i] ^= 1 << draw(st.integers(0, n - 1))
+    return n, tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases())
+def test_subspace_accepts_exactly_the_rref_bases(n_rows):
+    n, rows = n_rows
+    try:
+        Subspace(n, rows)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (rows == rref(rows, n))
 
 
 @st.composite
@@ -235,3 +272,32 @@ def test_state_reader_loads_or_refuses_mutated_dumps(text):
     except ValueError:
         return
     assert abs(sqnorm(state.amps) - 1) <= ATOL
+
+
+@lru_cache(maxsize=1)
+def _bundle_text():
+    # indented, so that the line mutations move whole entries and fields
+    bundle = OracleBundle(4, np.random.default_rng(11))
+    for r in (0, 3, 9):
+        bundle.generator(r)
+    return json.dumps(bundle.snapshot(), indent=1, sort_keys=True)
+
+
+BUNDLE_TOKENS = ["{", "}", "[", "]", ",", ":", '"', "null", "true", "0", "-1", "16", "4", "1e999", "NaN",
+                 '"0"', '"00"', '"1"', '"0101"', '"01"', '"2"', '"abc"', '"n"', '"entries"', '"basis"',
+                 '"serial"', "[" * 50]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(_bundle_text, BUNDLE_TOKENS))
+def test_bundle_reader_loads_or_refuses_mutated_snapshots(text):
+    # a mutated snapshot loads as a bundle whose every entry is a serial and
+    # a dim-n/2 subspace, or is refused by ValueError; nothing else escapes
+    try:
+        bundle = OracleBundle.import_json(text, np.random.default_rng(0))
+    except ValueError:
+        bundle = None
+    if bundle is not None:
+        for r, entry in bundle.snapshot()["entries"].items():
+            found = bundle.lookup(bytes.fromhex(entry["serial"]))
+            assert found.r == int(r) and found.subspace.dim == bundle.n // 2

@@ -1,6 +1,8 @@
 """Statevector, oracle and measurement utilities."""
 
+import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -346,6 +348,66 @@ def test_tensor_is_np_kron_bit_for_bit(n_low, n_high):
             joint = low.tensor(high)
             assert joint.n_qubits == n_low + n_high
             assert np.array_equal(joint.amps.view(np.uint64), np.kron(high.amps, low.amps).view(np.uint64))
+
+
+def _member_sets(rng):
+    """(n, sorted distinct members) pairs: subspaces and arbitrary sets."""
+    for n in (1, 2, 5, 8, 12):
+        yield n, f2lin.random_subspace(n, n // 2, rng).member_array()
+        yield n, np.sort(rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False))
+
+
+def test_uniform_on_builds_the_scattered_amplitudes_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n, members in _member_sets(rng):
+        want = np.zeros(1 << n, dtype=np.complex128)
+        want[members] = len(members) ** -0.5
+        s = qsim.uniform_on(n, members.copy())
+        assert s.members is not None and not s.members.flags.writeable
+        assert np.array_equal(s.amps.view(np.uint64), want.view(np.uint64))
+        assert not s.amps.flags.writeable
+        assert s.amps is s.amps  # built once
+
+
+def _fsum_vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    terms = a.conj() * b
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def test_inner_from_members_matches_the_dense_inner_product():
+    # within 1e-15 of the exactly summed products; the dense einsum over up
+    # to 4,096 equal terms at n=12 is itself a few 1e-15 off, so it gets 1e-14
+    rng = np.random.default_rng(42)
+    for n, members in _member_sets(rng):
+        a = qsim.uniform_on(n, members)
+        dense_a = StateVector(n, a.amps)
+        for psi in (haar_random_state(n, rng), qsim.uniform_on(n, members.copy())):
+            fresh = qsim.uniform_on(n, members)
+            want = _fsum_vdot(dense_a.amps, psi.amps)
+            assert abs(fresh.inner(psi) - want) <= 1e-15
+            assert abs(fresh.inner(psi) - dense_a.inner(psi)) <= 1e-14
+            # against a dense state the member side's amplitudes are not built
+            assert fresh._amps is None or psi.members is not None
+            assert abs(psi.inner(fresh) - want.conjugate()) <= 1e-15
+            assert fresh._amps is None or psi.members is not None
+        # the same members array on both sides: exactly 1, amplitudes built or not
+        assert a.inner(a) == 1.0
+        assert qsim.uniform_on(n, members).inner(qsim.uniform_on(n, members)) == 1.0
+
+
+def test_a_member_backed_state_survives_pickling():
+    members = f2lin.random_subspace(8, 4, np.random.default_rng(43)).member_array()
+    for read in (False, True):
+        s = qsim.uniform_on(8, members)
+        if read:
+            s.amps
+        back = pickle.loads(pickle.dumps(s))
+        assert back.n_qubits == 8 and back._amps is None
+        assert np.array_equal(back.members, members) and not back.members.flags.writeable
+        assert np.array_equal(back.amps, s.amps)
+    dense = haar_random_state(4, np.random.default_rng(44))
+    back = pickle.loads(pickle.dumps(dense))
+    assert back.members is None and np.array_equal(back.amps, dense.amps) and not back.amps.flags.writeable
 
 
 class _FixedDraw:
